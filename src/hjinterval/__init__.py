@@ -33,8 +33,10 @@ from .cube import (
     enumerate_m_interval_lines,
     interval_line,
     is_monochromatic,
+    line_at_row,
     line_points,
     load_coloring,
+    mono_mask,
     rank,
     save_coloring,
     unrank,

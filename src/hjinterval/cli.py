@@ -18,6 +18,7 @@ from typing import Sequence
 from .bounds import DEFAULT_CAP_DIGITS, BoundExpr, tower
 from .cnf import (
     CnfInstance,
+    EncoderBugError,
     decode_model,
     encode,
     parse_dimacs,
@@ -148,8 +149,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     with open(args.cnf, "r", encoding="ascii") as fh:
-        text = fh.read()
-    instance = parse_dimacs(text)
+        instance = parse_dimacs(fh.read())
     command = args.solver or os.environ.get(SOLVER_ENV)
     if command:
         outcome = run_solver(args.cnf, command, timeout=args.timeout)
@@ -162,22 +162,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"diagnostics={outcome.diagnostics}")
         return 1
     if outcome.status == "sat":
-        n = _cube_dimension(instance.n_vars)
-        if n is not None and "\nc line " in text:
-            coloring = decode_model(outcome.model, n)
-            print(f"coloring={coloring.bitstring}")
-            print("verified=yes")
-        else:
+        if instance.family is None:
             print("model=" + " ".join(str(lit) for lit in outcome.model))
+            return 0
+        n, m, _ = instance.family
+        try:
+            coloring = decode_model(outcome.model, n, m)
+        except EncoderBugError as exc:
+            # The model fails a direct scan of the family that was encoded.
+            print("verified=no")
+            print(f"diagnostics={exc}")
+            return 1
+        print(f"coloring={coloring.bitstring}")
+        print("verified=yes")
     return 0
-
-
-def _cube_dimension(n_vars: int) -> int | None:
-    n, size = 0, 1
-    while size < n_vars:
-        n += 1
-        size *= 3
-    return n if size == n_vars and n >= 1 else None
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

@@ -4,38 +4,53 @@ Variable i+1 is the colour of the word of rank i.  Every line (active
 set a union of at most m intervals) contributes two clauses: not all
 three members colour 0, not all three colour 1, so models are exactly
 the colourings with no monochromatic line of that family.  Instances
-are written as DIMACS with one provenance comment per clause pair; they
-can be fed to any external solver that takes a file path and prints the
-usual "s SATISFIABLE" / "v ..." lines, and a small built-in DPLL covers
-the cubes this package cares about when no solver is installed.
+are written as DIMACS with a header comment naming the encoded family
+(n, m and symmetry breaking) and one provenance comment per clause
+pair; they can be fed to any external solver that takes a file path
+and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
+built-in DPLL covers the cubes this package cares about when no solver
+is installed.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .cube import (
+    ALPHABET,
     Coloring,
     Line,
-    enumerate_m_interval_lines,
+    line_at_row,
+    m_interval_active_sets,
     m_interval_line_members,
-    rank,
+    mono_mask,
+    runs_of,
 )
+
+# First word of the DIMACS comment that names an encoded instance's family.
+_HEADER_TAG = "hjinterval"
+_HEADER_PATTERN = rf"c {_HEADER_TAG} n=([1-9][0-9]*) m=([1-9][0-9]*) sym_break=([01])"
 
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """A CNF formula with per-clause provenance strings."""
+    """A CNF formula with per-clause provenance strings.
+
+    ``family`` is (n, m, sym_break) for an instance made by :func:`encode`
+    (and read back from its DIMACS header), None for any other formula.
+    """
 
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]
     provenance: tuple[str, ...]
+    family: tuple[int, int, bool] | None = None
 
     def __post_init__(self) -> None:
         if len(self.clauses) != len(self.provenance):
@@ -48,10 +63,13 @@ class CnfInstance:
                     raise ValueError(f"literal {lit} outside +-1..{self.n_vars}")
 
 
+def _runs_text(active: tuple[int, ...]) -> str:
+    return "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active))
+
+
 def _line_provenance(line: Line) -> str:
-    runs = "+".join(f"{lo}..{hi}" for lo, hi in line.active_runs())
     fixed = ",".join(f"{p}:{v}" for p, v in line.fixed) or "-"
-    return f"line {runs} fixed={fixed}"
+    return f"line {_runs_text(line.active)} fixed={fixed}"
 
 
 def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
@@ -60,46 +78,66 @@ def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
     With sym_break, one unit clause pins the rank-0 cell to colour 0;
     that is sound because the colour swap maps avoiders to avoiders.
     """
-    clauses: list[tuple[int, ...]] = []
-    provenance: list[str] = []
-    for line in enumerate_m_interval_lines(n, m):
-        p, q, r = (rank(w) + 1 for w in line.points())
-        tag = _line_provenance(line)
-        clauses.append((p, q, r))
-        provenance.append(tag)
-        clauses.append((-p, -q, -r))
-        provenance.append(tag)
+    clauses = []
+    for p, q, r in zip(*(m_interval_line_members(n, m) + 1).T.tolist()):
+        clauses += ((p, q, r), (-p, -q, -r))
+    provenance = []
+    for active in m_interval_active_sets(n, m):
+        head = f"line {_runs_text(active)} fixed="
+        # The product varies the last pinned coordinate fastest: fixed-part rank order.
+        choices = [[f"{p}:{v}" for v in ALPHABET] for p in range(1, n + 1) if p not in active]
+        for letters in itertools.product(*choices):
+            tag = head + (",".join(letters) or "-")
+            provenance += (tag, tag)
     if sym_break:
         clauses.append((-1,))
         provenance.append("symmetry-break rank0=0")
-    return CnfInstance(3**n, tuple(clauses), tuple(provenance))
+    return CnfInstance(3**n, tuple(clauses), tuple(provenance), family=(n, m, bool(sym_break)))
 
 
 def write_dimacs(instance: CnfInstance) -> str:
     """DIMACS text, byte-stable for a given instance.
 
-    Each provenance string is emitted as a "c <tag>" comment above its
-    first clause, so consecutive clauses from one line share a comment.
+    An encoded instance's family follows the "p cnf" line as the comment
+    "c hjinterval n=<n> m=<m> sym_break=<0|1>".  Each provenance string
+    is emitted as a "c <tag>" comment above its first clause, so
+    consecutive clauses from one line share a comment.
     """
-    rows = [f"p cnf {instance.n_vars} {len(instance.clauses)}"]
+    return "".join(_dimacs_lines(instance))
+
+
+def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
+    yield f"p cnf {instance.n_vars} {len(instance.clauses)}\n"
+    if instance.family is not None:
+        n, m, sym_break = instance.family
+        yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
     last_tag = None
     for cl, tag in zip(instance.clauses, instance.provenance):
         if tag != last_tag:
-            rows.append(f"c {tag}")
+            yield f"c {tag}\n"
             last_tag = tag
-        rows.append(" ".join(str(lit) for lit in cl) + " 0")
-    return "\n".join(rows) + "\n"
+        yield " ".join(str(lit) for lit in cl) + " 0\n"
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Read DIMACS back; comments are dropped, counts are enforced."""
+    """Read DIMACS back; counts are enforced, and comments are dropped
+    except the family header that :func:`write_dimacs` puts after "p cnf"."""
     n_vars = None
     expected = None
+    family = None
     lits: list[int] = []
     clauses: list[tuple[int, ...]] = []
     for row in text.splitlines():
         row = row.strip()
-        if not row or row.startswith("c"):
+        if not row:
+            continue
+        if row.startswith("c"):
+            if row.startswith(f"c {_HEADER_TAG} "):
+                match = re.fullmatch(_HEADER_PATTERN, row)
+                if match is None:
+                    raise ValueError(f"bad {_HEADER_TAG} header {row!r}")
+                n, m, sym_break = map(int, match.groups())
+                family = (n, m, bool(sym_break))
             continue
         if row.startswith("p"):
             parts = row.split()
@@ -122,12 +160,17 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ValueError("trailing literals without closing 0")
     if expected != len(clauses):
         raise ValueError(f"header promises {expected} clauses, file has {len(clauses)}")
-    return CnfInstance(n_vars, tuple(clauses), ("",) * len(clauses))
+    if family is not None and 3 ** family[0] != n_vars:
+        raise ValueError(
+            f"{_HEADER_TAG} header says n={family[0]}, but the file has {n_vars} variables"
+        )
+    return CnfInstance(n_vars, tuple(clauses), ("",) * len(clauses), family)
 
 
 def write_dimacs_file(instance: CnfInstance, path: str) -> None:
+    # Line by line, so the whole text never sits in memory at once.
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_dimacs(instance))
+        fh.writelines(_dimacs_lines(instance))
 
 
 @dataclass(frozen=True)
@@ -277,14 +320,11 @@ def decode_model(model: Iterable[int] | Mapping[int, bool], n: int, m: int = 1) 
         raise ValueError(f"incomplete model: variable {missing[0]} of {size} unassigned")
     bits = np.fromiter((1 if values[v] else 0 for v in range(1, size + 1)), dtype=np.uint8, count=size)
     coloring = Coloring(n, bits)
-    members = m_interval_line_members(n, m)
-    cols = coloring.bits[members]
-    mono = (cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])
-    if bool(mono.any()):
-        idx = int(np.flatnonzero(mono)[0])
-        line = next(itertools.islice(enumerate_m_interval_lines(n, m), idx, None))
+    hits = np.flatnonzero(mono_mask(coloring.bits, m_interval_line_members(n, m)))
+    if hits.size:
+        line = line_at_row(n, int(hits[0]), m)
         raise EncoderBugError(
-            f"decoded model leaves line {_line_provenance(line)} monochromatic; "
+            f"decoded model leaves {_line_provenance(line)} monochromatic; "
             f"the encoding for n={n}, m={m} is unsound"
         )
     return coloring

@@ -132,16 +132,21 @@ class Line:
 
     def active_runs(self) -> tuple[tuple[int, int], ...]:
         """Maximal runs of consecutive active coordinates, as (lo, hi) pairs."""
-        runs = []
-        lo = prev = self.active[0]
-        for i in self.active[1:]:
-            if i == prev + 1:
-                prev = i
-                continue
-            runs.append((lo, prev))
-            lo = prev = i
+        return runs_of(self.active)
+
+
+def runs_of(coords: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of a nonempty increasing coordinate tuple, as (lo, hi) pairs."""
+    runs = []
+    lo = prev = coords[0]
+    for i in coords[1:]:
+        if i == prev + 1:
+            prev = i
+            continue
         runs.append((lo, prev))
-        return tuple(runs)
+        lo = prev = i
+    runs.append((lo, prev))
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -229,20 +234,91 @@ def enumerate_m_interval_lines(n: int, m: int) -> Iterator[Line]:
 
 
 @lru_cache(maxsize=16)
+def _interval_active_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Active sets of the interval lines, in the order of :func:`enumerate_interval_lines`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return tuple(tuple(range(lo, hi + 1)) for lo in range(1, n + 1) for hi in range(lo, n + 1))
+
+
+@lru_cache(maxsize=16)
+def m_interval_active_sets(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Active sets with at most m runs, in the order of :func:`enumerate_m_interval_lines`
+    and of the rows of :func:`m_interval_line_members`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    # A run starts at each set bit whose lower neighbour is clear.
+    return tuple(
+        tuple(i + 1 for i in range(n) if mask >> i & 1)
+        for mask in range(1, 2**n)
+        if bin(mask & ~(mask << 1)).count("1") <= m
+    )
+
+
+def _line_table(n: int, actives: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Member ranks of every line over the given active sets, by rank arithmetic.
+
+    Lines come in the order of ``actives``, then by fixed-part rank.  A
+    row is the rank of the pinned letters (moving letter 1) plus v times
+    the summed weight 3**(n-i) of the active coordinates i, v = 0, 1, 2.
+    """
+    steps = np.arange(3, dtype=np.int64)
+    out = np.empty((sum(3 ** (n - len(a)) for a in actives), 3), dtype=np.int64)
+    start = 0
+    for active in actives:
+        # Pinned ranks in fixed-part rank order: the last pinned coordinate varies fastest.
+        base = np.zeros(1, dtype=np.int64)
+        for i in range(1, n + 1):
+            if i not in active:
+                base = (base[:, None] + steps * 3 ** (n - i)).ravel()
+        weight = sum(3 ** (n - i) for i in active)
+        out[start : start + base.size] = base[:, None] + steps * weight
+        start += base.size
+    return out
+
+
+@lru_cache(maxsize=16)
 def interval_line_members(n: int) -> np.ndarray:
     """Ranks of the three points of every interval line, one line per row.
 
     Row order matches :func:`enumerate_interval_lines`.  Cached because
     the table is the hot input to violation counting and search.
     """
-    rows = [[rank(w) for w in line.points()] for line in enumerate_interval_lines(n)]
-    return np.array(rows, dtype=np.int64)
+    return _line_table(n, _interval_active_sets(n))
 
 
 @lru_cache(maxsize=16)
 def m_interval_line_members(n: int, m: int) -> np.ndarray:
-    rows = [[rank(w) for w in line.points()] for line in enumerate_m_interval_lines(n, m)]
-    return np.array(rows, dtype=np.int64)
+    """Like :func:`interval_line_members` for the lines of :func:`enumerate_m_interval_lines`."""
+    return _line_table(n, m_interval_active_sets(n, m))
+
+
+def line_at_row(n: int, row: int, m: int | None = None) -> Line:
+    """The line behind one row of a member table, without enumerating the rows before it.
+
+    With m None the row indexes :func:`interval_line_members` and an
+    :class:`IntervalLine` comes back; otherwise it indexes
+    :func:`m_interval_line_members` and a :class:`Line` comes back.
+    """
+    actives = _interval_active_sets(n) if m is None else m_interval_active_sets(n, m)
+    fr = row
+    if fr >= 0:
+        for active in actives:
+            count = 3 ** (n - len(active))
+            if fr < count:
+                rest = tuple(i for i in range(1, n + 1) if i not in active)
+                cls = IntervalLine if m is None else Line
+                return cls(n, active, _fixed_from_rank(rest, fr))
+            fr -= count
+    raise IndexError(f"row {row} outside the member table of n={n}, m={m}")
+
+
+def mono_mask(bits: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Which rows of a member table the colour array ``bits`` makes monochromatic."""
+    cols = bits[members]
+    return (cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])
 
 
 class Coloring:
@@ -295,7 +371,7 @@ class Coloring:
 
     @property
     def bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self._bits)
+        return (self._bits + ord("0")).tobytes().decode("ascii")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):
@@ -423,10 +499,13 @@ def coloring_from_text(text: str) -> Coloring:
         body = body[:-1]
     if len(body) != 3**n:
         raise ValueError(f"expected {3 ** n} colour characters for n={n}, got {len(body)}")
-    for pos, ch in enumerate(body):
-        if ch not in "01":
-            raise ValueError(f"bad colour byte {ch!r} at position {pos}")
-    return Coloring(n, np.frombuffer(body.encode("ascii"), dtype=np.uint8) - ord("0"))
+    # Latin-1 keeps one byte per character; anything beyond it becomes "?".
+    bits = np.frombuffer(body.encode("latin-1", "replace"), dtype=np.uint8) - ord("0")
+    bad = bits > 1
+    if bad.any():
+        pos = int(bad.argmax())
+        raise ValueError(f"bad colour byte {body[pos]!r} at position {pos}")
+    return Coloring(n, bits)
 
 
 def save_coloring(coloring: Coloring, path: str) -> None:

@@ -30,12 +30,13 @@ from .cube import (
     Coloring,
     IntervalLine,
     Word,
-    enumerate_interval_lines,
     interval_line,
     interval_line_members,
     is_monochromatic,
+    line_at_row,
+    mono_mask,
 )
-from .patterns import Pattern, contract, realize
+from .patterns import Pattern, realize
 
 #: The five seed patterns, in the order their colour sets are consulted.
 SEED_PATTERNS: tuple[Pattern, ...] = tuple(
@@ -497,14 +498,10 @@ def find_interval_line(
     """
     n = coloring.n
     if method == "direct":
-        members = interval_line_members(n)
-        cols = coloring.bits[members]
-        mono = (cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])
-        hits = np.flatnonzero(mono)
+        hits = np.flatnonzero(mono_mask(coloring.bits, interval_line_members(n)))
         if hits.size == 0:
             return None
-        line = next(itertools.islice(enumerate_interval_lines(n), int(hits[0]), None))
-        return _certified(coloring, line)
+        return _certified(coloring, line_at_row(n, int(hits[0])))
     if method == "gadget":
         for cuts in itertools.combinations(range(1, n), 4):
             for cand in gadget_lines(Quadruple(n, cuts)):
@@ -523,9 +520,29 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     """Colour each word by its seed pattern: d[p] when the contraction is
     seed pattern p, and d[0] for every other word."""
     d = _check_color_vector(d)
-    table = {p.letters: d[i] for i, p in enumerate(SEED_PATTERNS)}
+    longest = max(SEED_LENGTHS)
+    size = 3**n
+    ranks = np.arange(size, dtype=np.min_scalar_type(size))
+    # One pass over the coordinates: count the runs and pack the letters
+    # of the first `longest` runs base 4, so a contraction's code is unique.
+    runs = np.zeros(size, dtype=np.uint8)
+    code = np.zeros(size, dtype=np.uint16)
+    prev = np.zeros(size, dtype=np.uint8)  # no letter: coordinate 1 opens a run
+    for i in range(n):
+        letter = (ranks // 3 ** (n - 1 - i) % 3 + 1).astype(np.uint8)
+        new_run = letter != prev
+        runs += new_run
+        code = np.where(new_run & (runs <= longest), code * 4 + letter, code)
+        prev = letter
+    code[runs > longest] = 0
+    colour_of_code = np.full(4**longest, d[0], dtype=np.uint8)
+    for p, colour in zip(SEED_PATTERNS, d):
+        colour_of_code[_pattern_code(p)] = colour
+    return Coloring(n, colour_of_code[code])
 
-    def fn(w: Word) -> int:
-        return table.get(contract(w).letters, d[0])
 
-    return Coloring.from_function(n, fn)
+def _pattern_code(pattern: Pattern) -> int:
+    code = 0
+    for v in pattern.letters:
+        code = code * 4 + v
+    return code

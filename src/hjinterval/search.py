@@ -21,6 +21,7 @@ from .cube import (
     Coloring,
     all_symmetries,
     interval_line_members,
+    mono_mask,
     rank_permutation,
 )
 
@@ -34,10 +35,7 @@ OUTCOME_INCONCLUSIVE = "inconclusive"
 
 def violation_count(coloring: Coloring) -> int:
     """How many interval lines are monochromatic under the colouring."""
-    members = interval_line_members(coloring.n)
-    cols = coloring.bits[members]
-    mono = (cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])
-    return int(mono.sum())
+    return int(mono_mask(coloring.bits, interval_line_members(coloring.n)).sum())
 
 
 @dataclass

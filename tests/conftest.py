@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import hjinterval
+from hjinterval.cnf import CnfInstance, encode, solve_builtin
 
 # The directory this suite imported hjinterval from: src/ in a checkout, the
 # site-packages directory when the package is installed. Child pythons get it
@@ -56,3 +57,16 @@ def toy_solver(solver_factory):
     """A real external solver: parses DIMACS, answers with s/v lines."""
 
     return solver_factory(WELL_BEHAVED)
+
+
+@pytest.fixture
+def two_interval_mono_model():
+    """A model of encode(3) whose colouring avoids every interval line but
+    leaves the 2-interval line 1..1+3..3 fixed=2:1 monochromatic."""
+
+    # The line's points 111, 212, 313 have ranks 0, 10, 20: pin them to colour 0.
+    base = encode(3)
+    pinned = CnfInstance(27, base.clauses + ((-1,), (-11,), (-21,)), base.provenance + ("",) * 3)
+    outcome = solve_builtin(pinned)
+    assert outcome.status == "sat"
+    return outcome.model

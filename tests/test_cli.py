@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hjinterval.cli import main, report_render
-from hjinterval.cnf import encode, write_dimacs_file
+from hjinterval.cnf import encode, write_dimacs, write_dimacs_file
 from hjinterval.cube import load_coloring
 from hjinterval.gadgets import parse_certificate, pattern_coloring
 from hjinterval.search import exhaustive_search, violation_count
@@ -190,6 +190,44 @@ def test_encode_sym_break_and_max_intervals(tmp_path, capsys):
     )
     assert code == 0
     assert "clauses=75" in out
+
+
+def test_encode_writes_family_header(tmp_path, capsys):
+    cnf_path = tmp_path / "n3m2.cnf"
+    run_cli(capsys, "encode", "--n", "3", "--max-intervals", "2", "--out", str(cnf_path))
+    rows = cnf_path.read_text().splitlines()
+    assert rows[:2] == ["p cnf 27 74", "c hjinterval n=3 m=2 sym_break=0"]
+
+
+def test_solve_verifies_against_the_encoded_family(
+    tmp_path, capsys, solver_factory, two_interval_mono_model
+):
+    # A solver that answers every file with the same model: one that avoids
+    # the interval lines of the 3-cube but not its 2-interval lines.
+    model = " ".join(map(str, two_interval_mono_model))
+    liar = solver_factory(f'print("s SATISFIABLE")\nprint("v {model} 0")\n')
+    m1_path, m2_path = tmp_path / "n3m1.cnf", tmp_path / "n3m2.cnf"
+    run_cli(capsys, "encode", "--n", "3", "--out", str(m1_path))
+    run_cli(capsys, "encode", "--n", "3", "--max-intervals", "2", "--out", str(m2_path))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(m1_path), "--solver", liar)
+    assert code == 0
+    assert "verified=yes" in out
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(m2_path), "--solver", liar)
+    assert code == 1
+    assert "verified=yes" not in out and "coloring=" not in out
+    assert "verified=no" in out
+    assert "line 1..1+3..3 fixed=2:1 monochromatic" in out
+
+
+def test_solve_without_family_header_prints_raw_model(tmp_path, capsys):
+    # line provenance alone does not make a file an encoding of a known family
+    cnf_path = tmp_path / "n2.cnf"
+    rows = write_dimacs(encode(2)).splitlines()
+    cnf_path.write_text("\n".join(r for r in rows if not r.startswith("c hjinterval")) + "\n")
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert code == 0
+    assert "model=" in out
+    assert "coloring=" not in out and "verified=" not in out
 
 
 def test_solve_external_solver_flag(tmp_path, capsys, toy_solver):

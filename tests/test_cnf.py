@@ -58,6 +58,49 @@ def test_encode_m2_counts():
     assert len(inst.clauses) == 74
 
 
+def _encode_reference(n, m, sym_break):
+    """The instance encode() must build, made line by line from the enumeration."""
+    clauses, provenance = [], []
+    for line in enumerate_m_interval_lines(n, m):
+        p, q, r = (rank(w) + 1 for w in line_points(line))
+        runs = "+".join(f"{lo}..{hi}" for lo, hi in line.active_runs())
+        tag = f"line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-")
+        clauses += [(p, q, r), (-p, -q, -r)]
+        provenance += [tag, tag]
+    if sym_break:
+        clauses.append((-1,))
+        provenance.append("symmetry-break rank0=0")
+    return CnfInstance(3**n, tuple(clauses), tuple(provenance), family=(n, m, sym_break))
+
+
+def test_encode_matches_enumeration_reference():
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            for sym_break in (False, True):
+                assert encode(n, m, sym_break) == _encode_reference(n, m, sym_break)
+
+
+def test_dimacs_header_names_the_encoded_family():
+    text = write_dimacs(encode(3, m=2, sym_break=True))
+    assert text.splitlines()[:2] == ["p cnf 27 75", "c hjinterval n=3 m=2 sym_break=1"]
+    assert parse_dimacs(text).family == (3, 2, True)
+    assert parse_dimacs(write_dimacs(encode(2))).family == (2, 1, False)
+    assert parse_dimacs("p cnf 2 1\n1 2 0\n").family is None
+
+
+def test_parse_dimacs_rejects_bad_family_header():
+    for header in (
+        "c hjinterval n=3 m=2",
+        "c hjinterval n=x m=2 sym_break=0",
+        "c hjinterval n=3 m=0 sym_break=0",
+        "c hjinterval n=3 m=2 sym_break=2",
+        "c hjinterval m=2 n=3 sym_break=0",
+        "c hjinterval n=2 m=1 sym_break=0",  # 9 variables, not 27
+    ):
+        with pytest.raises(ValueError):
+            parse_dimacs(f"p cnf 27 1\n{header}\n1 2 3 0\n")
+
+
 def test_encode_rejects_bad_args():
     with pytest.raises(ValueError):
         encode(0)
@@ -108,6 +151,7 @@ def test_write_dimacs_file_roundtrip(tmp_path):
     inst = encode(2, sym_break=True)
     path = tmp_path / "n2.cnf"
     write_dimacs_file(inst, str(path))
+    assert path.read_text() == write_dimacs(inst)
     assert parse_dimacs(path.read_text()).clauses == inst.clauses
 
 
@@ -174,6 +218,14 @@ def test_decode_model_names_the_offending_line():
         assert "1..1" in str(exc)
     else:
         pytest.fail("expected EncoderBugError")
+
+
+def test_decode_model_checks_the_asked_family(two_interval_mono_model):
+    model = two_interval_mono_model
+    assert violation_count(decode_model(model, 3, m=1)) == 0
+    with pytest.raises(EncoderBugError) as err:
+        decode_model(model, 3, m=2)
+    assert str(err.value).startswith("decoded model leaves line 1..1+3..3 fixed=2:1 monochromatic")
 
 
 def test_var_numbering_follows_rank():

@@ -20,9 +20,12 @@ from hjinterval.cube import (
     interval_line,
     interval_line_members,
     is_monochromatic,
+    line_at_row,
     line_points,
     load_coloring,
+    m_interval_active_sets,
     m_interval_line_members,
+    mono_mask,
     rank,
     rank_permutation,
     save_coloring,
@@ -120,20 +123,49 @@ def test_interval_line_validates_bounds():
 
 
 def test_member_table_matches_line_points():
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         table = interval_line_members(n)
         lines = list(enumerate_interval_lines(n))
+        assert table.dtype == np.int64
         assert table.shape == (len(lines), 3)
-        for row, line in zip(table, lines):
-            assert [int(r) for r in row] == [rank(p) for p in line_points(line)]
+        expected = [[rank(p) for p in line_points(line)] for line in lines]
+        assert table.tolist() == expected
 
 
 def test_m_member_table_matches_enumeration():
-    table = m_interval_line_members(3, 2)
-    lines = list(enumerate_m_interval_lines(3, 2))
-    assert table.shape == (len(lines), 3)
-    for row, line in zip(table, lines):
-        assert [int(r) for r in row] == [rank(p) for p in line_points(line)]
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            table = m_interval_line_members(n, m)
+            lines = list(enumerate_m_interval_lines(n, m))
+            assert table.dtype == np.int64
+            assert table.shape == (len(lines), 3)
+            expected = [[rank(p) for p in line_points(line)] for line in lines]
+            assert table.tolist() == expected
+            actives = tuple(dict.fromkeys(line.active for line in lines))
+            assert m_interval_active_sets(n, m) == actives
+
+
+def test_line_at_row_matches_enumeration():
+    for n in range(1, 7):
+        for m in (None, *range(1, n + 1)):
+            if m is None:
+                lines = list(enumerate_interval_lines(n))
+            else:
+                lines = list(enumerate_m_interval_lines(n, m))
+            for row, line in enumerate(lines):
+                got = line_at_row(n, row, m)
+                assert got == line and type(got) is type(line)
+            for row in (-1, len(lines)):
+                with pytest.raises(IndexError):
+                    line_at_row(n, row, m)
+
+
+def test_mono_mask_flags_exactly_the_monochromatic_rows():
+    for n in (2, 3):
+        c = Coloring.random(n, seed=n)
+        lines = list(enumerate_m_interval_lines(n, n))
+        mask = mono_mask(c.bits, m_interval_line_members(n, n))
+        assert mask.tolist() == [is_monochromatic(c, line) for line in lines]
 
 
 def test_coloring_basics():
@@ -248,10 +280,23 @@ def test_coloring_text_rejects_malformed():
         "HJC 2 2\n" + "0" * 9,
         "HJC 3 2\n0101",
         "HJC 3 2\n" + "0" * 8 + "2",
+        "HJC 3 2\n" + "0" * 7 + "\u00e91",
         "HJC 3 0\n",
     ):
         with pytest.raises(ValueError):
             coloring_from_text(bad)
+
+
+def test_coloring_text_error_names_first_bad_character():
+    for body, ch, pos in (
+        ("01/" + "0" * 6, "/", 2),
+        ("0" * 4 + "\u00e9" + "2" + "0" * 3, "\u00e9", 4),
+        ("0" * 5 + "\u2603" + "0" * 3, "\u2603", 5),
+        ("0" * 8 + "\x00", "\x00", 8),
+    ):
+        with pytest.raises(ValueError) as err:
+            coloring_from_text(f"HJC 3 2\n{body}\n")
+        assert str(err.value) == f"bad colour byte {ch!r} at position {pos}"
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -198,6 +198,18 @@ def test_pattern_coloring_values():
     assert c.get(Word.from_text("13232")) == 0
 
 
+def _pattern_coloring_reference(n, d):
+    """Contract every word one by one and look its contraction up among the seeds."""
+    table = {p.letters: d[i] for i, p in enumerate(SEED_PATTERNS)}
+    return Coloring.from_function(n, lambda w: table.get(contract(w).letters, d[0]))
+
+
+def test_pattern_coloring_matches_contraction_reference():
+    for n in range(1, 7):
+        for d in itertools.product((0, 1), repeat=5):
+            assert pattern_coloring(n, d) == _pattern_coloring_reference(n, d)
+
+
 def test_pattern_coloring_is_contraction_invariant():
     c = pattern_coloring(5, (1, 0, 1, 0, 1))
     seen = {}
@@ -291,6 +303,18 @@ def test_find_interval_line_direct_constant():
 def test_find_interval_line_direct_on_avoider():
     avoider = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     assert find_interval_line(avoider) is None
+
+
+def test_find_interval_line_direct_certifies_first_line_in_enumeration_order():
+    for n in range(1, 7):
+        for seed in range(4):
+            c = Coloring.random(n, seed)
+            first = next((l for l in enumerate_interval_lines(n) if is_monochromatic(c, l)), None)
+            cert = find_interval_line(c, method="direct")
+            if first is None:
+                assert cert is None
+            else:
+                assert cert.line == first and cert.verify(c)
 
 
 def test_find_interval_line_methods_agree_on_pattern_colorings():
