@@ -11,9 +11,11 @@ from hjinterval import (
     enumerate_m_interval_lines,
     is_monochromatic,
     solve_builtin,
+    tower,
     violation_count,
     write_dimacs,
 )
+from hjinterval.drup import check_proof
 
 # -- how the encoding grows --------------------------------------------------
 
@@ -29,15 +31,31 @@ print()
 print(write_dimacs(encode(1)))
 
 # -- solving and decoding ----------------------------------------------------
-# The bundled DPLL is deliberately plain (occurrence lists, lowest-index
-# branching) but fine through n = 4.  Decoding re-verifies the model against
-# an independent line scan before handing back a colouring.
+# The bundled solver is a small CDCL (watched literals, clause learning,
+# restarts).  Decoding re-verifies a model against an independent line scan
+# before handing back a colouring.
 
 for n in (2, 3, 4):
     outcome = solve_builtin(encode(n))
     coloring = decode_model(outcome.model, n)
     print(f"n={n}: {outcome.status}, decoded avoider with "
           f"{violation_count(coloring)} violations")
+print()
+
+# -- the exact threshold -----------------------------------------------------
+# At n = 5 the formula is unsatisfiable: every 2-colouring of the 5-cube has
+# a monochromatic interval line.  The solver's learnt clauses form a DRUP
+# proof of that, which a separate checker re-derives by unit propagation.
+
+inst5 = encode(5)
+refutation = solve_builtin(inst5)
+verdict = check_proof(inst5.clauses, refutation.proof)
+print(f"n=5: {refutation.status}, DRUP proof of {len(refutation.proof)} lemmas "
+      f"{'checked' if verdict is None else 'REJECTED: ' + verdict}")
+rows = dict(tower())
+print("exact threshold for interval lines: n=5 (n=4 has an avoider)")
+print(f"the paper's Ramsey tower: n0={rows['n0'].render()}, ..., "
+      f"n={rows['n'].render()[:36]}...")
 print()
 
 # -- a harder target: unions of two intervals --------------------------------

@@ -1,10 +1,10 @@
 """Command-line frontend.
 
 Subcommands map one-to-one onto the library: verify-gadgets,
-find-line, search, encode, solve, bound, gen.  Exit code 0 means a
-definitive answer was produced (found, refuted, verified, or a proof of
-absence), 1 means the chosen route was inconclusive, 2 means the
-invocation or an input file was bad.
+find-line, search, encode, solve, check-proof, bound, gen.  Exit code 0
+means a definitive answer was produced (found, refuted, verified, or a
+proof of absence), 1 means the chosen route was inconclusive, 2 means
+the invocation or an input file was bad.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .cnf import (
     write_dimacs_file,
 )
 from .cube import Coloring, load_coloring, save_coloring
+from .drup import check_proof, parse_proof
 from .gadgets import (
     SEED_LENGTHS,
     LineCertificate,
@@ -154,28 +155,57 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if command:
         outcome = run_solver(args.cnf, command, timeout=args.timeout)
         print(f"solver={command}")
+        culprit = "the external solver's model is wrong"
     else:
         outcome = solve_builtin(instance)
-        print("solver=builtin-dpll")
+        print("solver=builtin-cdcl")
+        culprit = "the encoder or the built-in solver is at fault"
+    if outcome.status == "unsat" and command:
+        # An external solver's refutation comes without a proof to check.
+        print("status=unsat-unverified")
+        print(
+            "diagnostics=the external solver's UNSAT comes with no proof; have it write "
+            f"a DRUP proof and run: hjinterval check-proof --cnf {args.cnf} --proof FILE"
+        )
+        return 1
     print(f"status={outcome.status}")
     if outcome.status == "unknown":
         print(f"diagnostics={outcome.diagnostics}")
         return 1
-    if outcome.status == "sat":
-        if instance.family is None:
-            print("model=" + " ".join(str(lit) for lit in outcome.model))
-            return 0
-        n, m, _ = instance.family
-        try:
-            coloring = decode_model(outcome.model, n, m)
-        except EncoderBugError as exc:
-            # The model fails a direct scan of the family that was encoded.
-            print("verified=no")
-            print(f"diagnostics={exc}")
-            return 1
-        print(f"coloring={coloring.bitstring}")
-        print("verified=yes")
+    if outcome.status == "unsat":
+        return _report_proof_check(instance, outcome.proof)
+    if instance.family is None:
+        print("model=" + " ".join(str(lit) for lit in outcome.model))
+        return 0
+    n, m, _ = instance.family
+    try:
+        coloring = decode_model(outcome.model, n, m)
+    except EncoderBugError as exc:
+        # The model fails a direct scan of the family that was encoded.
+        print("verified=no")
+        print(f"diagnostics={culprit}: {exc}")
+        return 1
+    print(f"coloring={coloring.bitstring}")
+    print("verified=yes")
     return 0
+
+
+def _report_proof_check(instance: CnfInstance, lemmas: Sequence[Sequence[int]]) -> int:
+    reason = check_proof(instance.clauses, lemmas)
+    if reason is not None:
+        print("proof=rejected")
+        print(f"diagnostics={reason}")
+        return 1
+    print(f"proof=checked lemmas={len(lemmas)}")
+    return 0
+
+
+def cmd_check_proof(args: argparse.Namespace) -> int:
+    with open(args.cnf, "r", encoding="ascii") as fh:
+        instance = parse_dimacs(fh.read())
+    with open(args.proof, "r", encoding="ascii") as fh:
+        lemmas = parse_proof(fh.read())
+    return _report_proof_check(instance, lemmas)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -242,9 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a SAT solver on a CNF file and decode the model")
     p.add_argument("--cnf", required=True)
-    p.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV}, else built-in DPLL)")
+    p.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV}, else built-in CDCL)")
     p.add_argument("--timeout", type=float)
     p.set_defaults(func=cmd_solve)
+
+    p = sub.add_parser("check-proof", help="check a DRUP refutation of a CNF file")
+    p.add_argument("--cnf", required=True)
+    p.add_argument("--proof", required=True, help='DRUP text, one "l1 ... 0" lemma a line')
+    p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser("bound", help="print the nested Ramsey bound tower")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP_DIGITS, help="digit cap for exact evaluation")

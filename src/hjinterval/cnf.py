@@ -8,8 +8,8 @@ are written as DIMACS with a header comment naming the encoded family
 (n, m and symmetry breaking) and one provenance comment per clause
 pair; they can be fed to any external solver that takes a file path
 and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
-built-in DPLL covers the cubes this package cares about when no solver
-is installed.
+built-in CDCL solver, which logs a DRUP proof of every unsat answer,
+decides the cubes this package cares about when no solver is installed.
 """
 
 from __future__ import annotations
@@ -175,11 +175,17 @@ def write_dimacs_file(instance: CnfInstance, path: str) -> None:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Solver verdict: sat with a model, unsat, or unknown with a reason."""
+    """Solver verdict: sat with a model, unsat, or unknown with a reason.
+
+    ``proof`` holds the built-in solver's learnt clauses, in order, as
+    DRUP lemmas; an unsat proof ends with the empty clause.  It is None
+    for an external solver.
+    """
 
     status: str
     model: tuple[int, ...] | None = None
     diagnostics: str = ""
+    proof: tuple[tuple[int, ...], ...] | None = None
 
 
 def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> SolveOutcome:
@@ -222,87 +228,195 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
     )
 
 
+def _luby(i: int) -> int:
+    """The i-th term (from 1) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
 def solve_builtin(instance: CnfInstance) -> SolveOutcome:
-    """Complete DPLL: unit propagation plus branching on the lowest
-    unassigned variable, trying colour 0 first.  Occurrence lists keep
-    propagation proportional to the clauses a new assignment touches,
-    which is all the speed a few hundred variables need."""
+    """Complete CDCL solver in the MiniSat mould (Een & Sorensson 2003).
+
+    Two watched literals, first-UIP clause learning, activity branching
+    with phase saving (colour 0 first) and Luby restarts.  There is no
+    randomness, so an instance always gets the same model, and no learnt
+    clause is ever deleted.  Every learnt clause is logged, in order, as
+    a DRUP lemma in ``proof``; an unsat run ends the proof with the empty
+    clause.  Inside, literal l is coded 2*|l| + (l < 0), so code ^ 1 is
+    its negation.
+    """
+    # Imported here so that importing the package does not load it.
+    from heapq import heapify, heappop, heappush
+
     n_vars = instance.n_vars
-    clauses = [tuple(cl) for cl in instance.clauses]
-    occ: dict[int, list[int]] = {}
-    for ci, cl in enumerate(clauses):
-        for lit in cl:
-            occ.setdefault(lit, []).append(ci)
-    assign: list[bool | None] = [None] * (n_vars + 1)
-
-    def propagate(queue: list[int], trail: list[int]) -> bool:
-        while queue:
-            var = queue.pop()
-            falsified = var if not assign[var] else -var
-            for ci in occ.get(falsified, ()):
-                free = 0
-                count = 0
-                sat = False
-                for lit in clauses[ci]:
-                    val = assign[abs(lit)]
-                    if val is None:
-                        count += 1
-                        free = lit
-                    elif val == (lit > 0):
-                        sat = True
-                        break
-                if sat:
-                    continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    fv = abs(free)
-                    assign[fv] = free > 0
-                    trail.append(fv)
-                    queue.append(fv)
-        return True
-
-    def branch() -> bool:
-        var = next((i for i in range(1, n_vars + 1) if assign[i] is None), None)
-        if var is None:
-            return True
-        for val in (False, True):
-            assign[var] = val
-            trail = [var]
-            if propagate([var], trail) and branch():
-                return True
-            for v in trail:
-                assign[v] = None
-        return False
-
-    # Settle the unit clauses before any branching.
+    value: list[bool | None] = [None] * (2 * n_vars + 2)  # per literal code
+    level = [0] * (n_vars + 1)
+    reason: list[int | None] = [None] * (n_vars + 1)  # clause that implied the variable
+    phase = [False] * (n_vars + 1)  # last value, True for the positive literal
+    activity = [0.0] * (n_vars + 1)
+    heap = [(0.0, var) for var in range(1, n_vars + 1)]  # (-activity, var), lazily pruned
+    clauses: list[list[int]] = []  # watched literals in positions 0 and 1
+    watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
     trail: list[int] = []
-    for cl in clauses:
-        if len(cl) == 1:
-            lit = cl[0]
-            var = abs(lit)
-            if assign[var] is None:
-                assign[var] = lit > 0
-                trail.append(var)
-            elif assign[var] != (lit > 0):
-                return SolveOutcome("unsat")
-    if propagate([v for v in trail], trail) and branch():
-        model = tuple(i if assign[i] else -i for i in range(1, n_vars + 1))
-        return SolveOutcome("sat", model)
-    return SolveOutcome("unsat")
+    limits: list[int] = []  # trail length when each decision level began
+    proof: list[tuple[int, ...]] = []
+    qhead = 0
+    bump_by = 1.0
+
+    def assign(lit: int, why: int | None) -> None:
+        value[lit], value[lit ^ 1] = True, False
+        level[lit >> 1], reason[lit >> 1] = len(limits), why
+        trail.append(lit)
+
+    def add_clause(lits: list[int]) -> None:
+        ci = len(clauses)
+        clauses.append(lits)
+        watches[lits[0]].append(ci)
+        watches[lits[1]].append(ci)
+
+    def propagate() -> int | None:
+        """Unit propagation; returns a falsified clause, or None."""
+        nonlocal qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watching = watches[false_lit]
+            watches[false_lit] = kept = []
+            for k, ci in enumerate(watching):
+                c = clauses[ci]
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = c[0]
+                if value[first]:
+                    kept.append(ci)
+                    continue
+                for j in range(2, len(c)):
+                    if value[c[j]] is not False:
+                        c[1], c[j] = c[j], false_lit
+                        watches[c[1]].append(ci)
+                        break
+                else:
+                    kept.append(ci)
+                    if value[first] is False:
+                        kept.extend(watching[k + 1 :])
+                        return ci
+                    assign(first, ci)
+        return None
+
+    def analyze(ci: int) -> list[int]:
+        """The first-UIP learnt clause of a conflict, asserting literal first."""
+        nonlocal bump_by
+        seen = set()
+        learnt = [0]
+        pending = 0
+        idx = len(trail) - 1
+        lit = None
+        while True:
+            c = clauses[ci]
+            for q in c if lit is None else c[1:]:  # a reason clause holds its implied literal first
+                var = q >> 1
+                if var not in seen and level[var]:
+                    seen.add(var)
+                    activity[var] += bump_by
+                    if level[var] == len(limits):
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while trail[idx] >> 1 not in seen:
+                idx -= 1
+            lit = trail[idx]
+            idx -= 1
+            pending -= 1
+            if not pending:
+                break
+            ci = reason[lit >> 1]
+        learnt[0] = lit ^ 1
+        bump_by /= 0.95
+        if bump_by > 1e100:
+            for var in range(1, n_vars + 1):
+                activity[var] *= 1e-100
+            bump_by *= 1e-100
+            rebuild_heap()
+        return learnt
+
+    def rebuild_heap() -> None:
+        heap[:] = [(-activity[v], v) for v in range(1, n_vars + 1) if value[2 * v] is None]
+        heapify(heap)
+
+    def backtrack(target: int) -> None:
+        nonlocal qhead
+        if len(limits) > target:
+            qhead = limits[target]
+            for lit in trail[qhead:]:
+                var = lit >> 1
+                value[lit] = value[lit ^ 1] = None
+                phase[var] = not lit & 1
+                heappush(heap, (-activity[var], var))
+            del trail[qhead:], limits[target:]
+
+    def unsat() -> SolveOutcome:
+        proof.append(())
+        return SolveOutcome("unsat", proof=tuple(proof))
+
+    for cl in instance.clauses:
+        lits = list(dict.fromkeys(2 * abs(l) + (l < 0) for l in cl))
+        if len(lits) > 1:
+            add_clause(lits)
+        elif value[lits[0]] is None:
+            assign(lits[0], None)
+        elif value[lits[0]] is False:
+            return unsat()
+    conflicts = 0
+    restarts = 0
+    next_restart = 100 * _luby(1)
+    while True:
+        ci = propagate()
+        if ci is None:
+            if conflicts >= next_restart:
+                restarts += 1
+                next_restart = conflicts + 100 * _luby(restarts + 1)
+                backtrack(0)
+                rebuild_heap()
+            while heap and value[2 * heap[0][1]] is not None:
+                heappop(heap)
+            if not heap:
+                model = tuple(v if value[2 * v] else -v for v in range(1, n_vars + 1))
+                return SolveOutcome("sat", model, proof=tuple(proof))
+            var = heappop(heap)[1]
+            limits.append(len(trail))
+            assign(2 * var + (not phase[var]), None)
+        elif not limits:
+            return unsat()
+        else:
+            conflicts += 1
+            learnt = analyze(ci)
+            # The asserting literal first, then the one of the highest level left.
+            learnt.sort(key=lambda q: level[q >> 1], reverse=True)
+            proof.append(tuple(-(q >> 1) if q & 1 else q >> 1 for q in learnt))
+            if len(learnt) == 1:
+                backtrack(0)
+                assign(learnt[0], None)
+            else:
+                backtrack(level[learnt[1] >> 1])
+                add_clause(learnt)
+                assign(learnt[0], len(clauses) - 1)
 
 
 class EncoderBugError(RuntimeError):
-    """A decoded model fails direct verification: the encoding is wrong."""
+    """A decoded model fails direct verification against the encoded family:
+    the solver that produced it, or the encoder, is wrong."""
 
 
 def decode_model(model: Iterable[int] | Mapping[int, bool], n: int, m: int = 1) -> Coloring:
     """Turn a model into a colouring and verify it against a direct scan.
 
     The model must assign every variable 1..3**n.  Verification failure
-    does not return: a model of the encoding that still contains a
-    monochromatic line means the encoder itself is broken, and silently
-    shipping such a "witness" would poison everything downstream.
+    does not return: a model that still contains a monochromatic line
+    means the solver or the encoder is broken, and silently shipping such
+    a "witness" would poison everything downstream.
     """
     size = 3**n
     if isinstance(model, Mapping):
@@ -323,8 +437,5 @@ def decode_model(model: Iterable[int] | Mapping[int, bool], n: int, m: int = 1) 
     hits = np.flatnonzero(mono_mask(coloring.bits, m_interval_line_members(n, m)))
     if hits.size:
         line = line_at_row(n, int(hits[0]), m)
-        raise EncoderBugError(
-            f"decoded model leaves {_line_provenance(line)} monochromatic; "
-            f"the encoding for n={n}, m={m} is unsound"
-        )
+        raise EncoderBugError(f"decoded model leaves {_line_provenance(line)} monochromatic")
     return coloring

@@ -100,7 +100,8 @@ def exhaustive_search(n: int, use_symmetry: bool = True, cap: int = EXHAUSTIVE_C
         raise ValueError("n must be >= 1")
     if n > cap:
         raise ValueError(
-            f"n={n} exceeds the exhaustive cap {cap}; pass a bigger cap only if you mean it"
+            f"n={n} exceeds the exhaustive cap {cap}; decide it by SAT instead: "
+            f"hjinterval encode --n {n} --out FILE, then hjinterval solve --cnf FILE"
         )
     t0 = time.perf_counter()
     size = 3**n

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from hjinterval import cli
 from hjinterval.cli import main, report_render
-from hjinterval.cnf import encode, write_dimacs, write_dimacs_file
+from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
 from hjinterval.cube import load_coloring
 from hjinterval.gadgets import parse_certificate, pattern_coloring
 from hjinterval.search import exhaustive_search, violation_count
@@ -163,6 +164,14 @@ def test_search_rejects_bad_n(capsys):
     assert code == 2
 
 
+def test_search_exhaustive_above_cap_points_to_sat(capsys):
+    code, _, err = run_cli(capsys, "search", "--n", "4", "--mode", "exhaustive")
+    assert code == 2
+    assert "exceeds the exhaustive cap 3" in err
+    assert "hjinterval encode --n 4" in err and "hjinterval solve" in err
+    assert "bigger cap" not in err
+
+
 def test_search_no_symmetry_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "search", "--n", "2", "--no-symmetry")
@@ -177,7 +186,7 @@ def test_encode_solve_roundtrip(tmp_path, capsys):
     assert "vars=27" in out and "clauses=68" in out
     code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
     assert code == 0
-    assert "solver=builtin-dpll" in out
+    assert "solver=builtin-cdcl" in out
     assert "status=sat" in out
     assert "verified=yes" in out
 
@@ -217,6 +226,54 @@ def test_solve_verifies_against_the_encoded_family(
     assert "verified=yes" not in out and "coloring=" not in out
     assert "verified=no" in out
     assert "line 1..1+3..3 fixed=2:1 monochromatic" in out
+    # The encoding is sound here; the fault is the solver's, and is named so.
+    diagnostics = next(row for row in out.splitlines() if row.startswith("diagnostics="))
+    assert "external solver's model is wrong" in diagnostics
+    assert "encod" not in diagnostics and "unsound" not in diagnostics
+
+
+def test_solve_refutation_carries_a_checked_proof(tmp_path, capsys):
+    cnf_path = tmp_path / "n4m4.cnf"
+    run_cli(capsys, "encode", "--n", "4", "--max-intervals", "4", "--sym-break", "--out", str(cnf_path))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert code == 0
+    assert "solver=builtin-cdcl" in out
+    assert "status=unsat" in out
+    assert "proof=checked lemmas=" in out
+
+
+def test_solve_rejected_proof_is_inconclusive(tmp_path, capsys, monkeypatch):
+    cnf_path = tmp_path / "n4m4.cnf"
+    run_cli(capsys, "encode", "--n", "4", "--max-intervals", "4", "--out", str(cnf_path))
+    monkeypatch.setattr(cli, "solve_builtin", lambda instance: SolveOutcome("unsat", proof=((),)))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert code == 1
+    assert "proof=rejected" in out and "proof=checked" not in out
+
+
+def test_solve_external_unsat_is_unverified(tmp_path, capsys, solver_factory):
+    cnf_path = tmp_path / "n4m4.cnf"
+    run_cli(capsys, "encode", "--n", "4", "--max-intervals", "4", "--out", str(cnf_path))
+    refuter = solver_factory('print("s UNSATISFIABLE")\n')
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", refuter)
+    assert code == 1
+    assert "status=unsat-unverified" in out and "status=unsat\n" not in out
+    assert f"hjinterval check-proof --cnf {cnf_path}" in out
+
+
+def test_check_proof_verb(tmp_path, capsys):
+    cnf_path, good, bad = tmp_path / "n4m4.cnf", tmp_path / "good.drup", tmp_path / "bad.drup"
+    run_cli(capsys, "encode", "--n", "4", "--max-intervals", "4", "--sym-break", "--out", str(cnf_path))
+    lemmas = solve_builtin(encode(4, m=4, sym_break=True)).proof
+    good.write_text("".join(" ".join(map(str, lemma + (0,))) + "\n" for lemma in lemmas))
+    bad.write_text("".join(" ".join(map(str, lemma + (0,))) + "\n" for lemma in lemmas[:-1]))
+    code, out, _ = run_cli(capsys, "check-proof", "--cnf", str(cnf_path), "--proof", str(good))
+    assert code == 0
+    assert f"proof=checked lemmas={len(lemmas)}" in out
+    code, out, _ = run_cli(capsys, "check-proof", "--cnf", str(cnf_path), "--proof", str(bad))
+    assert code == 1
+    assert "proof=rejected" in out
+    assert "diagnostics=the proof does not end with the empty clause" in out
 
 
 def test_solve_without_family_header_prints_raw_model(tmp_path, capsys):

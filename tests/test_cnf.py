@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hjinterval.cnf import (
@@ -18,6 +19,7 @@ from hjinterval.cube import (
     line_points,
     rank,
 )
+from hjinterval.drup import check_proof
 from hjinterval.search import violation_count
 
 EXPECTED_SIZES = {1: (3, 2), 2: (9, 14), 3: (27, 68)}
@@ -167,6 +169,60 @@ def test_solve_builtin_sat_small():
 def test_solve_builtin_unsat():
     inst = CnfInstance(n_vars=1, clauses=((1,), (-1,)), provenance=("a", "b"))
     assert solve_builtin(inst).status == "unsat"
+
+
+@pytest.mark.parametrize(
+    "n, m, sym_break, status",
+    [
+        (4, 1, False, "sat"),  # an avoider of the interval lines of the 4-cube
+        (4, 4, True, "unsat"),  # every line of the 4-cube: HJ(3,2) = 4
+        (5, 1, False, "unsat"),  # interval lines of the 5-cube: the exact threshold
+    ],
+)
+def test_solve_builtin_frozen_frontier(n, m, sym_break, status):
+    inst = encode(n, m=m, sym_break=sym_break)
+    out = solve_builtin(inst)
+    assert out.status == status
+    if status == "sat":
+        assert violation_count(decode_model(out.model, n, m)) == 0
+    else:
+        assert out.proof[-1] == ()
+        assert check_proof(inst.clauses, out.proof) is None
+
+
+def _brute_force_sat(n_vars, clauses):
+    rows = (np.arange(2**n_vars)[:, None] >> np.arange(n_vars)) & 1  # row: one assignment
+    ok = np.ones(2**n_vars, dtype=bool)
+    for cl in clauses:
+        ok &= np.any([rows[:, abs(l) - 1] == (l > 0) for l in cl], axis=0)
+    return bool(ok.any())
+
+
+def test_solve_builtin_agrees_with_brute_force_on_random_3sat():
+    rng = np.random.default_rng(2014)
+    verdicts = {"sat": 0, "unsat": 0}
+    for _ in range(400):
+        n_vars = int(rng.integers(3, 13))
+        n_clauses = int(rng.integers(2 * n_vars, 7 * n_vars))
+        clauses = tuple(
+            tuple(((rng.permutation(n_vars)[:3] + 1) * rng.choice((-1, 1), 3)).tolist())
+            for _ in range(n_clauses)
+        )
+        out = solve_builtin(CnfInstance(n_vars, clauses, ("",) * n_clauses))
+        verdicts[out.status] += 1
+        assert (out.status == "sat") == _brute_force_sat(n_vars, clauses), clauses
+        if out.status == "sat":
+            assert sorted(map(abs, out.model)) == list(range(1, n_vars + 1))
+            chosen = set(out.model)
+            assert all(chosen.intersection(cl) for cl in clauses), clauses
+        else:
+            assert check_proof(clauses, out.proof) is None, clauses
+    assert min(verdicts.values()) >= 100  # both verdicts well represented
+
+
+def test_solve_builtin_is_deterministic():
+    for inst in (encode(4), encode(3, m=2), encode(5)):
+        assert solve_builtin(inst) == solve_builtin(inst)
 
 
 def test_instance_rejects_empty_clause():
