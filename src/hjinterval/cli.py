@@ -168,12 +168,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"a DRUP proof and run: hjinterval check-proof --cnf {args.cnf} --proof FILE"
         )
         return 1
+    if outcome.status == "unsat":
+        # The refutation counts only once its proof has been checked.
+        reason = check_proof(instance.clauses, outcome.proof)
+        print("status=unsat" if reason is None else "status=unsat-unverified")
+        return _report_proof(reason, outcome.proof)
     print(f"status={outcome.status}")
     if outcome.status == "unknown":
         print(f"diagnostics={outcome.diagnostics}")
         return 1
-    if outcome.status == "unsat":
-        return _report_proof_check(instance, outcome.proof)
     if instance.family is None:
         print("model=" + " ".join(str(lit) for lit in outcome.model))
         return 0
@@ -190,8 +193,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_proof_check(instance: CnfInstance, lemmas: Sequence[Sequence[int]]) -> int:
-    reason = check_proof(instance.clauses, lemmas)
+def _report_proof(reason: str | None, lemmas: Sequence[Sequence[int]]) -> int:
     if reason is not None:
         print("proof=rejected")
         print(f"diagnostics={reason}")
@@ -205,7 +207,7 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
         instance = parse_dimacs(fh.read())
     with open(args.proof, "r", encoding="ascii") as fh:
         lemmas = parse_proof(fh.read())
-    return _report_proof_check(instance, lemmas)
+    return _report_proof(check_proof(instance.clauses, lemmas), lemmas)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

@@ -380,6 +380,8 @@ def solve_builtin(instance: CnfInstance) -> SolveOutcome:
                 next_restart = conflicts + 100 * _luby(restarts + 1)
                 backtrack(0)
                 rebuild_heap()
+            elif len(heap) > 2 * n_vars:  # drop the stale entries that backtracking left
+                rebuild_heap()
             while heap and value[2 * heap[0][1]] is not None:
                 heappop(heap)
             if not heap:

@@ -248,6 +248,7 @@ def test_solve_rejected_proof_is_inconclusive(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_builtin", lambda instance: SolveOutcome("unsat", proof=((),)))
     code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
     assert code == 1
+    assert "status=unsat-unverified" in out and "status=unsat\n" not in out
     assert "proof=rejected" in out and "proof=checked" not in out
 
 
