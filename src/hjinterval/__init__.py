@@ -21,7 +21,6 @@ from .cnf import (
 )
 from .cube import (
     Coloring,
-    IntervalLine,
     Line,
     Symmetry,
     Word,
@@ -29,12 +28,10 @@ from .cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
-    enumerate_interval_lines,
     enumerate_m_interval_lines,
     interval_line,
     is_monochromatic,
     line_at_row,
-    line_points,
     load_coloring,
     mono_mask,
     rank,

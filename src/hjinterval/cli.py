@@ -15,9 +15,8 @@ import os
 import sys
 from typing import Sequence
 
-from .bounds import DEFAULT_CAP_DIGITS, BoundExpr, tower
+from .bounds import DEFAULT_CAP_DIGITS, tower
 from .cnf import (
-    CnfInstance,
     EncoderBugError,
     decode_model,
     encode,
@@ -31,7 +30,6 @@ from .cube import Coloring, load_coloring, save_coloring
 from .drup import check_proof, parse_proof
 from .gadgets import (
     SEED_LENGTHS,
-    LineCertificate,
     Quadruple,
     case_lemma_check,
     find_interval_line,
@@ -42,28 +40,12 @@ from .gadgets import (
 from .search import (
     OUTCOME_FOUND,
     OUTCOME_INCONCLUSIVE,
-    SearchReport,
     exhaustive_search,
     local_search,
     render_search_report,
 )
 
 SOLVER_ENV = "HJ_SOLVER"
-
-
-def report_render(report: object) -> str:
-    """Render any of the package's report objects as stable text."""
-    if isinstance(report, SearchReport):
-        return render_search_report(report)
-    if isinstance(report, LineCertificate):
-        return render_certificate(report)
-    if isinstance(report, CnfInstance):
-        return f"vars={report.n_vars}\nclauses={len(report.clauses)}\n"
-    if isinstance(report, list) and all(
-        isinstance(r, tuple) and len(r) == 2 and isinstance(r[1], BoundExpr) for r in report
-    ):
-        return "".join(f"{name}={expr.render()}\n" for name, expr in report)
-    raise TypeError(f"no renderer for report of type {type(report).__name__}")
 
 
 def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
@@ -143,7 +125,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     instance = encode(args.n, m=args.max_intervals, sym_break=args.sym_break)
     write_dimacs_file(instance, args.out)
-    sys.stdout.write(report_render(instance))
+    print(f"vars={instance.n_vars}")
+    print(f"clauses={len(instance.clauses)}")
     print(f"file={args.out}")
     return 0
 
@@ -157,7 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"solver={command}")
         culprit = "the external solver's model is wrong"
     else:
-        outcome = solve_builtin(instance)
+        outcome = solve_builtin(instance, timeout=args.timeout)
         print("solver=builtin-cdcl")
         culprit = "the encoder or the built-in solver is at fault"
     if outcome.status == "unsat" and command:
@@ -213,7 +196,8 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     print("pattern-lengths=" + ",".join(str(t) for t in SEED_LENGTHS))
     print(f"cap-digits={args.cap}")
-    sys.stdout.write(report_render(tower(args.cap)))
+    for name, expr in tower(args.cap):
+        print(f"{name}={expr.render()}")
     return 0
 
 
@@ -275,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a SAT solver on a CNF file and decode the model")
     p.add_argument("--cnf", required=True)
     p.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV}, else built-in CDCL)")
-    p.add_argument("--timeout", type=float)
+    p.add_argument("--timeout", type=float, help="seconds before giving up with status=unknown")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-proof", help="check a DRUP refutation of a CNF file")

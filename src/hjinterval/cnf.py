@@ -18,6 +18,7 @@ import itertools
 import re
 import shlex
 import subprocess
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -237,7 +238,7 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def solve_builtin(instance: CnfInstance) -> SolveOutcome:
+def solve_builtin(instance: CnfInstance, timeout: float | None = None) -> SolveOutcome:
     """Complete CDCL solver in the MiniSat mould (Een & Sorensson 2003).
 
     Two watched literals, first-UIP clause learning, activity branching
@@ -245,8 +246,9 @@ def solve_builtin(instance: CnfInstance) -> SolveOutcome:
     randomness, so an instance always gets the same model, and no learnt
     clause is ever deleted.  Every learnt clause is logged, in order, as
     a DRUP lemma in ``proof``; an unsat run ends the proof with the empty
-    clause.  Inside, literal l is coded 2*|l| + (l < 0), so code ^ 1 is
-    its negation.
+    clause.  With a timeout in seconds, the clock is read once per
+    conflict, and a run past it stops with status "unknown".  Inside,
+    literal l is coded 2*|l| + (l < 0), so code ^ 1 is its negation.
     """
     # Imported here so that importing the package does not load it.
     from heapq import heapify, heappop, heappush
@@ -369,6 +371,7 @@ def solve_builtin(instance: CnfInstance) -> SolveOutcome:
             assign(lits[0], None)
         elif value[lits[0]] is False:
             return unsat()
+    deadline = None if timeout is None else time.monotonic() + timeout
     conflicts = 0
     restarts = 0
     next_restart = 100 * _luby(1)
@@ -393,6 +396,12 @@ def solve_builtin(instance: CnfInstance) -> SolveOutcome:
         elif not limits:
             return unsat()
         else:
+            if deadline is not None and time.monotonic() >= deadline:
+                return SolveOutcome(
+                    "unknown",
+                    diagnostics=f"built-in solver reached its {timeout}s limit after "
+                    f"{conflicts} conflicts and {len(proof)} lemmas",
+                )
             conflicts += 1
             learnt = analyze(ci)
             # The asserting literal first, then the one of the highest level left.

@@ -134,6 +134,15 @@ class Line:
         """Maximal runs of consecutive active coordinates, as (lo, hi) pairs."""
         return runs_of(self.active)
 
+    @property
+    def lo(self) -> int:
+        """First active coordinate; lo..hi is the span of the active set."""
+        return self.active[0]
+
+    @property
+    def hi(self) -> int:
+        return self.active[-1]
+
 
 def runs_of(coords: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Maximal runs of a nonempty increasing coordinate tuple, as (lo, hi) pairs."""
@@ -149,37 +158,14 @@ def runs_of(coords: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
-class IntervalLine(Line):
-    """A line whose active set is one contiguous interval lo..hi."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if len(self.active_runs()) != 1:
-            raise ValueError(f"active set {self.active} is not one interval")
-
-    @property
-    def lo(self) -> int:
-        return self.active[0]
-
-    @property
-    def hi(self) -> int:
-        return self.active[-1]
-
-
-def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None) -> IntervalLine:
+def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None) -> Line:
     """Build the interval line with active set lo..hi and the given fixed letters."""
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"interval {lo}..{hi} outside 1..{n}")
     fixed = dict(fixed or {})
     pairs = tuple(sorted(fixed.items()))
     active = tuple(range(lo, hi + 1))
-    return IntervalLine(n, active, pairs)
-
-
-def line_points(line: Line) -> tuple[Word, Word, Word]:
-    """The three points of a line, ordered by moving letter 1, 2, 3."""
-    return line.points()
+    return Line(n, active, pairs)
 
 
 def _fixed_from_rank(positions: tuple[int, ...], fr: int) -> tuple[tuple[int, int], ...]:
@@ -193,77 +179,64 @@ def _fixed_from_rank(positions: tuple[int, ...], fr: int) -> tuple[tuple[int, in
     return tuple(zip(positions, digits))
 
 
-def enumerate_interval_lines(n: int) -> Iterator[IntervalLine]:
-    """All interval lines of the n-cube, ordered by lo, hi, then fixed-part rank.
-
-    The fixed-part rank reads the pinned letters in increasing coordinate
-    order as base-3 digits, so the order (and anything serialized from
-    it) is stable across runs.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            rest = tuple(i for i in range(1, n + 1) if i < lo or i > hi)
-            for fr in range(3 ** len(rest)):
-                yield IntervalLine(n, tuple(range(lo, hi + 1)), _fixed_from_rank(rest, fr))
-
-
-def enumerate_m_interval_lines(n: int, m: int) -> Iterator[Line]:
+def enumerate_m_interval_lines(n: int, m: int = 1) -> Iterator[Line]:
     """All lines whose active set splits into at most m maximal intervals.
 
-    Active sets are visited in increasing order of their bitmask value
-    (coordinate 1 = least significant bit), then by fixed-part rank.
-    With m = n this is every combinatorial line of the cube.
+    Active sets come in lexicographic order (for m = 1: by lo, then hi),
+    then pinned letters by fixed-part rank, which reads them in
+    increasing coordinate order as base-3 digits; the rows of
+    :func:`m_interval_line_members` follow the same order.  With m = 1
+    these are the interval lines, with m = n every combinatorial line of
+    the cube.  This is the slow reference the member table is tested
+    against.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    for mask in range(1, 2**n):
-        active = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        runs = 1
-        for a, b in zip(active, active[1:]):
-            if b != a + 1:
-                runs += 1
-        if runs > m:
+    coords = range(1, n + 1)
+    subsets = itertools.chain.from_iterable(itertools.combinations(coords, k) for k in coords)
+    for active in sorted(subsets):
+        if len(runs_of(active)) > m:
             continue
-        rest = tuple(i for i in range(1, n + 1) if not mask >> (i - 1) & 1)
+        rest = tuple(i for i in coords if i not in active)
         for fr in range(3 ** len(rest)):
             yield Line(n, active, _fixed_from_rank(rest, fr))
 
 
 @lru_cache(maxsize=16)
-def _interval_active_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Active sets of the interval lines, in the order of :func:`enumerate_interval_lines`."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(tuple(range(lo, hi + 1)) for lo in range(1, n + 1) for hi in range(lo, n + 1))
-
-
-@lru_cache(maxsize=16)
 def m_interval_active_sets(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Active sets with at most m runs, in the order of :func:`enumerate_m_interval_lines`
-    and of the rows of :func:`m_interval_line_members`."""
+    """Active sets with at most m runs, in lexicographic order: the order of
+    :func:`enumerate_m_interval_lines` and of the rows of :func:`m_interval_line_members`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    # A run starts at each set bit whose lower neighbour is clear.
-    return tuple(
-        tuple(i + 1 for i in range(n) if mask >> i & 1)
-        for mask in range(1, 2**n)
-        if bin(mask & ~(mask << 1)).count("1") <= m
-    )
+    out = []
+
+    def grow(active: tuple[int, ...], runs: int) -> None:
+        # A set, then its extensions by larger coordinates: lexicographic order.
+        out.append(active)
+        for i in range(active[-1] + 1, n + 1):
+            more = runs + (i > active[-1] + 1)
+            if more <= m:
+                grow(active + (i,), more)
+
+    for first in range(1, n + 1):
+        grow((first,), 1)
+    return tuple(out)
 
 
-def _line_table(n: int, actives: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Member ranks of every line over the given active sets, by rank arithmetic.
+@lru_cache(maxsize=16)
+def m_interval_line_members(n: int, m: int) -> np.ndarray:
+    """Ranks of the three points of every line with at most m runs, one line per row.
 
-    Lines come in the order of ``actives``, then by fixed-part rank.  A
-    row is the rank of the pinned letters (moving letter 1) plus v times
-    the summed weight 3**(n-i) of the active coordinates i, v = 0, 1, 2.
+    Rows follow :func:`enumerate_m_interval_lines`.  A row is the rank of
+    the pinned letters (moving letter 1) plus v times the summed weight
+    3**(n-i) of the active coordinates i, v = 0, 1, 2.  Cached because the
+    table is the hot input to violation counting, search and encoding.
     """
+    actives = m_interval_active_sets(n, m)
     steps = np.arange(3, dtype=np.int64)
     out = np.empty((sum(3 ** (n - len(a)) for a in actives), 3), dtype=np.int64)
     start = 0
@@ -279,38 +252,21 @@ def _line_table(n: int, actives: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
 def interval_line_members(n: int) -> np.ndarray:
-    """Ranks of the three points of every interval line, one line per row.
-
-    Row order matches :func:`enumerate_interval_lines`.  Cached because
-    the table is the hot input to violation counting and search.
-    """
-    return _line_table(n, _interval_active_sets(n))
+    """The member table of the interval lines: :func:`m_interval_line_members` at m = 1."""
+    return m_interval_line_members(n, 1)
 
 
-@lru_cache(maxsize=16)
-def m_interval_line_members(n: int, m: int) -> np.ndarray:
-    """Like :func:`interval_line_members` for the lines of :func:`enumerate_m_interval_lines`."""
-    return _line_table(n, m_interval_active_sets(n, m))
-
-
-def line_at_row(n: int, row: int, m: int | None = None) -> Line:
-    """The line behind one row of a member table, without enumerating the rows before it.
-
-    With m None the row indexes :func:`interval_line_members` and an
-    :class:`IntervalLine` comes back; otherwise it indexes
-    :func:`m_interval_line_members` and a :class:`Line` comes back.
-    """
-    actives = _interval_active_sets(n) if m is None else m_interval_active_sets(n, m)
+def line_at_row(n: int, row: int, m: int = 1) -> Line:
+    """The line behind one row of :func:`m_interval_line_members`, without
+    enumerating the rows before it."""
     fr = row
     if fr >= 0:
-        for active in actives:
+        for active in m_interval_active_sets(n, m):
             count = 3 ** (n - len(active))
             if fr < count:
                 rest = tuple(i for i in range(1, n + 1) if i not in active)
-                cls = IntervalLine if m is None else Line
-                return cls(n, active, _fixed_from_rank(rest, fr))
+                return Line(n, active, _fixed_from_rank(rest, fr))
             fr -= count
     raise IndexError(f"row {row} outside the member table of n={n}, m={m}")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cube import (
     Coloring,
-    IntervalLine,
+    Line,
     Word,
     interval_line,
     interval_line_members,
@@ -154,7 +154,7 @@ class GadgetLine:
     """Candidate line i of the construction, with its three member words."""
 
     index: int
-    line: IntervalLine
+    line: Line
     members: tuple[Word, Word, Word]
 
 
@@ -351,13 +351,15 @@ class HomogeneityError(ValueError):
 class LineCertificate:
     """A monochromatic interval line, carrying its own evidence."""
 
-    line: IntervalLine
+    line: Line
     color: int
     members: tuple[Word, Word, Word]
 
     def __post_init__(self) -> None:
         if self.color not in (0, 1):
             raise ValueError("certificate colour must be 0 or 1")
+        if len(self.line.active_runs()) != 1:
+            raise ValueError(f"active set {self.line.active} is not one interval")
         if self.members != self.line.points():
             raise ValueError("certificate members do not match the line's points")
 
@@ -368,7 +370,7 @@ class LineCertificate:
         return all(coloring.get(w) == self.color for w in self.members)
 
 
-def _certified(coloring: Coloring, line: IntervalLine) -> LineCertificate:
+def _certified(coloring: Coloring, line: Line) -> LineCertificate:
     cert = LineCertificate(line, coloring.get(line.word_at(1)), line.points())
     if not cert.verify(coloring):
         raise RuntimeError(f"internal error: line {line} reported monochromatic but is not")

@@ -87,20 +87,20 @@ def _symmetry_tables(n: int) -> list[tuple[list[int], int]]:
     return tables
 
 
-def exhaustive_search(n: int, use_symmetry: bool = True, cap: int = EXHAUSTIVE_CAP) -> SearchReport:
+def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
     """Decide whether the n-cube admits an avoider, by complete enumeration.
 
     Returns the lexicographically least avoider when one exists (its
     bitstring read in rank order), else a refutation.  The symmetry
     toggle only trims the walk; the outcome is the same either way.
-    Dimensions above the cap are refused because the space grows as
+    Dimensions above :data:`EXHAUSTIVE_CAP` are refused because the space grows as
     2**(3**n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
+    if n > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"n={n} exceeds the exhaustive cap {cap}; decide it by SAT instead: "
+            f"n={n} exceeds the exhaustive cap {EXHAUSTIVE_CAP}; decide it by SAT instead: "
             f"hjinterval encode --n {n} --out FILE, then hjinterval solve --cnf FILE"
         )
     t0 = time.perf_counter()

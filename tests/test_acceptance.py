@@ -16,7 +16,6 @@ from hjinterval.cnf import decode_model, encode, solve_builtin
 from hjinterval.cube import (
     Coloring,
     Word,
-    enumerate_interval_lines,
     enumerate_m_interval_lines,
 )
 from hjinterval.gadgets import (
@@ -139,8 +138,7 @@ def test_enumeration_counts(criterion):
         for n, expected in ((1, 1), (2, 7), (3, 34)):
             closed = sum((n - w + 1) * 3 ** (n - w) for w in range(1, n + 1))
             assert closed == expected
-            assert sum(1 for _ in enumerate_interval_lines(n)) == expected
-            assert sum(1 for _ in enumerate_m_interval_lines(n, 1)) == expected
+            assert sum(1 for _ in enumerate_m_interval_lines(n)) == expected
         for n in range(1, 5):
             assert sum(1 for _ in enumerate_m_interval_lines(n, n)) == 4**n - 3**n
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hjinterval import cli
-from hjinterval.cli import main, report_render
+from hjinterval.cli import main
 from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
 from hjinterval.cube import load_coloring
 from hjinterval.gadgets import parse_certificate, pattern_coloring
@@ -245,7 +245,9 @@ def test_solve_refutation_carries_a_checked_proof(tmp_path, capsys):
 def test_solve_rejected_proof_is_inconclusive(tmp_path, capsys, monkeypatch):
     cnf_path = tmp_path / "n4m4.cnf"
     run_cli(capsys, "encode", "--n", "4", "--max-intervals", "4", "--out", str(cnf_path))
-    monkeypatch.setattr(cli, "solve_builtin", lambda instance: SolveOutcome("unsat", proof=((),)))
+    monkeypatch.setattr(
+        cli, "solve_builtin", lambda instance, timeout=None: SolveOutcome("unsat", proof=((),))
+    )
     code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
     assert code == 1
     assert "status=unsat-unverified" in out and "status=unsat\n" not in out
@@ -316,6 +318,16 @@ def test_solve_unknown_is_inconclusive(tmp_path, capsys):
     assert "diagnostics=" in out
 
 
+def test_solve_builtin_honours_timeout(tmp_path, capsys):
+    cnf_path = tmp_path / "n5.cnf"
+    write_dimacs_file(encode(5), str(cnf_path))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--timeout", "0")
+    assert code == 1
+    assert "solver=builtin-cdcl" in out
+    assert "status=unknown" in out and "status=unsat" not in out
+    assert "diagnostics=built-in solver reached its 0.0s limit" in out
+
+
 def test_solve_foreign_cnf_prints_raw_model(tmp_path, capsys):
     # a CNF that is not a cube encoding gets a model, not a colouring
     cnf_path = tmp_path / "foreign.cnf"
@@ -350,11 +362,6 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-
-
-def test_report_render_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        report_render(object())
 
 
 def test_module_entry_point(tmp_path, child_env):

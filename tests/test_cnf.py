@@ -16,7 +16,7 @@ from hjinterval.cube import (
     Coloring,
     enumerate_m_interval_lines,
     is_monochromatic,
-    line_points,
+    m_interval_line_members,
     rank,
 )
 from hjinterval.drup import check_proof
@@ -64,7 +64,7 @@ def _encode_reference(n, m, sym_break):
     """The instance encode() must build, made line by line from the enumeration."""
     clauses, provenance = [], []
     for line in enumerate_m_interval_lines(n, m):
-        p, q, r = (rank(w) + 1 for w in line_points(line))
+        p, q, r = (rank(w) + 1 for w in line.points())
         runs = "+".join(f"{lo}..{hi}" for lo, hi in line.active_runs())
         tag = f"line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-")
         clauses += [(p, q, r), (-p, -q, -r)]
@@ -80,6 +80,17 @@ def test_encode_matches_enumeration_reference():
         for m in range(1, n + 1):
             for sym_break in (False, True):
                 assert encode(n, m, sym_break) == _encode_reference(n, m, sym_break)
+
+
+def test_clause_pairs_follow_member_table_rows():
+    # clause pair k speaks for row k of the member table, variables offset by one
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            rows = (m_interval_line_members(n, m) + 1).tolist()
+            clauses = encode(n, m).clauses
+            assert len(clauses) == 2 * len(rows)
+            assert [list(c) for c in clauses[::2]] == rows
+            assert [[-v for v in c] for c in clauses[1::2]] == rows
 
 
 def test_dimacs_header_names_the_encoded_family():
@@ -190,6 +201,18 @@ def test_solve_builtin_frozen_frontier(n, m, sym_break, status):
         assert check_proof(inst.clauses, out.proof) is None
 
 
+def test_solve_builtin_timeout_gives_unknown():
+    inst = encode(5)
+    out = solve_builtin(inst, timeout=0)
+    assert out.status == "unknown"
+    assert "0s limit" in out.diagnostics
+    assert "conflicts" in out.diagnostics and "lemmas" in out.diagnostics
+    assert out.model is None
+    full = solve_builtin(inst)
+    assert full.status == "unsat"
+    assert check_proof(inst.clauses, full.proof) is None
+
+
 def _brute_force_sat(n_vars, clauses):
     rows = (np.arange(2**n_vars)[:, None] >> np.arange(n_vars)) & 1  # row: one assignment
     ok = np.ones(2**n_vars, dtype=bool)
@@ -288,7 +311,7 @@ def test_var_numbering_follows_rank():
     # variable r+1 speaks for the cell of rank r
     inst = encode(2)
     first_line = next(iter(enumerate_m_interval_lines(2, 1)))
-    expected = tuple(rank(p) + 1 for p in line_points(first_line))
+    expected = tuple(rank(p) + 1 for p in first_line.points())
     assert inst.clauses[0] == expected
 
 

@@ -10,18 +10,17 @@ from hjinterval.cube import (
     IDENTITY,
     REVERSAL,
     Coloring,
+    Line,
     Word,
     all_symmetries,
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
-    enumerate_interval_lines,
     enumerate_m_interval_lines,
     interval_line,
     interval_line_members,
     is_monochromatic,
     line_at_row,
-    line_points,
     load_coloring,
     m_interval_active_sets,
     m_interval_line_members,
@@ -75,7 +74,7 @@ def test_rank_unrank_roundtrip(w):
 def test_interval_line_counts():
     expected = {1: 1, 2: 7, 3: 34, 4: 142}
     for n, count in expected.items():
-        lines = list(enumerate_interval_lines(n))
+        lines = list(enumerate_m_interval_lines(n))
         assert len(lines) == count
         assert len(set(lines)) == count
 
@@ -83,18 +82,25 @@ def test_interval_line_counts():
 def test_interval_line_count_closed_form():
     for n in range(1, 6):
         closed = sum((n - w + 1) * 3 ** (n - w) for w in range(1, n + 1))
-        assert sum(1 for _ in enumerate_interval_lines(n)) == closed
+        assert sum(1 for _ in enumerate_m_interval_lines(n)) == closed
 
 
 def test_m_interval_counts():
     # at m = n every nonempty active set is allowed: 4^n - 3^n lines
     for n in range(1, 5):
         assert sum(1 for _ in enumerate_m_interval_lines(n, n)) == 4**n - 3**n
-    # m = 1 coincides with the interval enumerator
-    for n in range(1, 5):
-        a = {(l.n, l.active, l.fixed) for l in enumerate_m_interval_lines(n, 1)}
-        b = {(l.n, l.active, l.fixed) for l in enumerate_interval_lines(n)}
-        assert a == b
+    # the interval table is the m = 1 table: rows by lo, then hi, then fixed-part rank
+    for n in range(1, 7):
+        table = interval_line_members(n)
+        assert np.array_equal(table, m_interval_line_members(n, 1))
+        expected = []
+        for lo in range(1, n + 1):
+            for hi in range(lo, n + 1):
+                rest = [i for i in range(1, n + 1) if not lo <= i <= hi]
+                for letters in itertools.product((1, 2, 3), repeat=len(rest)):
+                    line = interval_line(n, lo, hi, dict(zip(rest, letters)))
+                    expected.append([rank(p) for p in line.points()])
+        assert table.tolist() == expected
 
 
 def test_m_interval_counts_monotone_in_m():
@@ -107,7 +113,7 @@ def test_m_interval_counts_monotone_in_m():
 
 def test_line_points_worked_example():
     line = interval_line(3, 2, 3, {1: 2})
-    p1, p2, p3 = line_points(line)
+    p1, p2, p3 = line.points()
     assert (str(p1), str(p2), str(p3)) == ("211", "222", "233")
 
 
@@ -125,10 +131,10 @@ def test_interval_line_validates_bounds():
 def test_member_table_matches_line_points():
     for n in range(1, 7):
         table = interval_line_members(n)
-        lines = list(enumerate_interval_lines(n))
+        lines = list(enumerate_m_interval_lines(n))
         assert table.dtype == np.int64
         assert table.shape == (len(lines), 3)
-        expected = [[rank(p) for p in line_points(line)] for line in lines]
+        expected = [[rank(p) for p in line.points()] for line in lines]
         assert table.tolist() == expected
 
 
@@ -139,7 +145,7 @@ def test_m_member_table_matches_enumeration():
             lines = list(enumerate_m_interval_lines(n, m))
             assert table.dtype == np.int64
             assert table.shape == (len(lines), 3)
-            expected = [[rank(p) for p in line_points(line)] for line in lines]
+            expected = [[rank(p) for p in line.points()] for line in lines]
             assert table.tolist() == expected
             actives = tuple(dict.fromkeys(line.active for line in lines))
             assert m_interval_active_sets(n, m) == actives
@@ -147,14 +153,13 @@ def test_m_member_table_matches_enumeration():
 
 def test_line_at_row_matches_enumeration():
     for n in range(1, 7):
-        for m in (None, *range(1, n + 1)):
-            if m is None:
-                lines = list(enumerate_interval_lines(n))
-            else:
-                lines = list(enumerate_m_interval_lines(n, m))
+        for m in range(1, n + 1):
+            lines = list(enumerate_m_interval_lines(n, m))
             for row, line in enumerate(lines):
                 got = line_at_row(n, row, m)
-                assert got == line and type(got) is type(line)
+                assert got == line and type(got) is Line
+                if m == 1:
+                    assert line_at_row(n, row) == got
             for row in (-1, len(lines)):
                 with pytest.raises(IndexError):
                     line_at_row(n, row, m)
@@ -249,10 +254,10 @@ def test_rank_permutation_is_permutation():
 
 
 def test_symmetries_preserve_interval_lines():
-    lines = {frozenset(line_points(l)) for l in enumerate_interval_lines(3)}
+    lines = {frozenset(l.points()) for l in enumerate_m_interval_lines(3)}
     for g in all_symmetries():
-        for l in enumerate_interval_lines(3):
-            image = frozenset(g.apply_to_word(w) for w in line_points(l))
+        for l in enumerate_m_interval_lines(3):
+            image = frozenset(g.apply_to_word(w) for w in l.points())
             assert image in lines
 
 
@@ -261,8 +266,8 @@ def test_symmetry_preserves_mono_lines(gi, mask):
     g = all_symmetries()[gi]
     c = Coloring.from_bits(2, [(mask >> i) & 1 for i in range(9)])
     img = apply_symmetry(c, g)
-    before = sum(is_monochromatic(c, l) for l in enumerate_interval_lines(2))
-    after = sum(is_monochromatic(img, l) for l in enumerate_interval_lines(2))
+    before = sum(is_monochromatic(c, l) for l in enumerate_m_interval_lines(2))
+    after = sum(is_monochromatic(img, l) for l in enumerate_m_interval_lines(2))
     assert before == after
 
 
@@ -310,12 +315,12 @@ def test_all_words_enumeration_consistency():
     # cross-check: every point of every interval line is a valid rank
     for n in (1, 2, 3):
         size = 3**n
-        for line in enumerate_interval_lines(n):
-            for p in line_points(line):
+        for line in enumerate_m_interval_lines(n):
+            for p in line.points():
                 assert 0 <= rank(p) < size
 
 
 def test_fixed_coordinates_cover_complement():
-    for line in itertools.islice(enumerate_interval_lines(3), 10):
+    for line in itertools.islice(enumerate_m_interval_lines(3), 10):
         fixed_coords = {i for i, _ in line.fixed}
         assert fixed_coords == set(range(1, 4)) - set(line.active)

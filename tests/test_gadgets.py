@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hjinterval.cube import Coloring, Word, enumerate_interval_lines, is_monochromatic
+from hjinterval.cube import Coloring, Line, Word, enumerate_m_interval_lines, is_monochromatic
 from hjinterval.gadgets import (
     MIN_GROUND_SIZE,
     SEED_LENGTHS,
@@ -309,7 +309,7 @@ def test_find_interval_line_direct_certifies_first_line_in_enumeration_order():
     for n in range(1, 7):
         for seed in range(4):
             c = Coloring.random(n, seed)
-            first = next((l for l in enumerate_interval_lines(n) if is_monochromatic(c, l)), None)
+            first = next((l for l in enumerate_m_interval_lines(n) if is_monochromatic(c, l)), None)
             cert = find_interval_line(c, method="direct")
             if first is None:
                 assert cert is None
@@ -340,9 +340,17 @@ def test_certificate_verify_catches_wrong_color():
     assert not wrong.verify(c)
 
 
+def test_certificate_rejects_two_run_line():
+    line = Line(3, (1, 3), ((2, 2),))
+    c = Coloring.constant(3, 0)
+    assert is_monochromatic(c, line)
+    with pytest.raises(ValueError, match="not one interval"):
+        LineCertificate(line=line, color=0, members=line.points())
+
+
 def test_certificate_verify_catches_mixed_line():
     c = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
-    some_line = next(iter(enumerate_interval_lines(2)))
+    some_line = next(iter(enumerate_m_interval_lines(2)))
     assert not is_monochromatic(c, some_line)
     cert = LineCertificate(line=some_line, color=0, members=some_line.points())
     assert not cert.verify(c)

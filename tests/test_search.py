@@ -110,8 +110,6 @@ def test_exhaustive_cap():
     assert EXHAUSTIVE_CAP == 3
     with pytest.raises(ValueError):
         exhaustive_search(EXHAUSTIVE_CAP + 1)
-    with pytest.raises(ValueError):
-        exhaustive_search(2, cap=1)
 
 
 def test_exhaustive_rejects_bad_n():
