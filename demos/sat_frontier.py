@@ -25,8 +25,9 @@ for n in (1, 2, 3, 4):
     print(f"{n}   {inst.n_vars:4d}   {len(inst.clauses):5d}")
 print()
 
-# The DIMACS text carries provenance comments naming the line behind each
-# clause pair, so a foreign solver's input is still self-describing.
+# The DIMACS header names the encoded family, and the writer names the line
+# behind each clause pair from it, so a foreign solver's input is still
+# self-describing.
 
 print(write_dimacs(encode(1)))
 

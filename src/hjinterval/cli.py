@@ -13,6 +13,7 @@ import argparse
 import itertools
 import os
 import sys
+import time
 from typing import Sequence
 
 from .bounds import DEFAULT_CAP_DIGITS, tower
@@ -135,6 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with open(args.cnf, "r", encoding="ascii") as fh:
         instance = parse_dimacs(fh.read())
     command = args.solver or os.environ.get(SOLVER_ENV)
+    deadline = None if args.timeout is None else time.monotonic() + args.timeout
     if command:
         outcome = run_solver(args.cnf, command, timeout=args.timeout)
         print(f"solver={command}")
@@ -153,7 +155,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 1
     if outcome.status == "unsat":
         # The refutation counts only once its proof has been checked.
-        reason = check_proof(instance.clauses, outcome.proof)
+        try:
+            reason = check_proof(instance.clauses, outcome.proof, deadline)
+        except TimeoutError as exc:
+            print("status=unknown")
+            print(f"diagnostics=the refutation is unchecked: {exc}")
+            return 1
         print("status=unsat" if reason is None else "status=unsat-unverified")
         return _report_proof(reason, outcome.proof)
     print(f"status={outcome.status}")
@@ -166,8 +173,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     n, m, _ = instance.family
     try:
         coloring = decode_model(outcome.model, n, m)
-    except EncoderBugError as exc:
-        # The model fails a direct scan of the family that was encoded.
+    except (EncoderBugError, ValueError) as exc:
+        # The model is contradictory or incomplete, or fails a direct scan of the encoded family.
         print("verified=no")
         print(f"diagnostics={culprit}: {exc}")
         return 1

@@ -5,7 +5,7 @@ set a union of at most m intervals) contributes two clauses: not all
 three members colour 0, not all three colour 1, so models are exactly
 the colourings with no monochromatic line of that family.  Instances
 are written as DIMACS with a header comment naming the encoded family
-(n, m and symmetry breaking) and one provenance comment per clause
+(n, m and symmetry breaking), which also names the line of each clause
 pair; they can be fed to any external solver that takes a file path
 and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
 built-in CDCL solver, which logs a DRUP proof of every unsat answer,
@@ -14,23 +14,21 @@ decides the cubes this package cares about when no solver is installed.
 
 from __future__ import annotations
 
-import itertools
 import re
 import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import starmap
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .cube import (
-    ALPHABET,
     Coloring,
-    Line,
     line_at_row,
-    m_interval_active_sets,
     m_interval_line_members,
+    m_interval_rows,
     mono_mask,
     runs_of,
 )
@@ -42,7 +40,7 @@ _HEADER_PATTERN = rf"c {_HEADER_TAG} n=([1-9][0-9]*) m=([1-9][0-9]*) sym_break=(
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """A CNF formula with per-clause provenance strings.
+    """A CNF formula.
 
     ``family`` is (n, m, sym_break) for an instance made by :func:`encode`
     (and read back from its DIMACS header), None for any other formula.
@@ -50,12 +48,9 @@ class CnfInstance:
 
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    provenance: tuple[str, ...]
     family: tuple[int, int, bool] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.clauses) != len(self.provenance):
-            raise ValueError("need one provenance entry per clause")
         for cl in self.clauses:
             if not cl:
                 raise ValueError("empty clause")
@@ -64,13 +59,13 @@ class CnfInstance:
                     raise ValueError(f"literal {lit} outside +-1..{self.n_vars}")
 
 
-def _runs_text(active: tuple[int, ...]) -> str:
-    return "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active))
+_pin_text = "{}:{}".format  # a fixed pair (p, v) in a line's name
 
 
-def _line_provenance(line: Line) -> str:
-    fixed = ",".join(f"{p}:{v}" for p, v in line.fixed) or "-"
-    return f"line {_runs_text(line.active)} fixed={fixed}"
+def _line_name(active: tuple[int, ...], pins: Iterable[str]) -> str:
+    """A line's name from its active set and pinned texts: "line 1..2+4..4 fixed=3:1,5:2"."""
+    runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active))
+    return f"line {runs} fixed={','.join(pins) or '-'}"
 
 
 def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
@@ -82,42 +77,35 @@ def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
     clauses = []
     for p, q, r in zip(*(m_interval_line_members(n, m) + 1).T.tolist()):
         clauses += ((p, q, r), (-p, -q, -r))
-    provenance = []
-    for active in m_interval_active_sets(n, m):
-        head = f"line {_runs_text(active)} fixed="
-        # The product varies the last pinned coordinate fastest: fixed-part rank order.
-        choices = [[f"{p}:{v}" for v in ALPHABET] for p in range(1, n + 1) if p not in active]
-        for letters in itertools.product(*choices):
-            tag = head + (",".join(letters) or "-")
-            provenance += (tag, tag)
     if sym_break:
         clauses.append((-1,))
-        provenance.append("symmetry-break rank0=0")
-    return CnfInstance(3**n, tuple(clauses), tuple(provenance), family=(n, m, bool(sym_break)))
+    return CnfInstance(3**n, tuple(clauses), family=(n, m, bool(sym_break)))
 
 
 def write_dimacs(instance: CnfInstance) -> str:
     """DIMACS text, byte-stable for a given instance.
 
-    An encoded instance's family follows the "p cnf" line as the comment
-    "c hjinterval n=<n> m=<m> sym_break=<0|1>".  Each provenance string
-    is emitted as a "c <tag>" comment above its first clause, so
-    consecutive clauses from one line share a comment.
+    A family follows the "p cnf" line as "c hjinterval n=<n> m=<m>
+    sym_break=<0|1>"; if the clause count is the family's, line k of
+    the family is named above clause pair k and "symmetry-break
+    rank0=0" above the unit.  So a parsed file writes back as it was,
+    and a formula without a family gets no comments.
     """
     return "".join(_dimacs_lines(instance))
 
 
 def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
     yield f"p cnf {instance.n_vars} {len(instance.clauses)}\n"
+    clauses = (("%d " * len(cl)) % cl + "0\n" for cl in instance.clauses)
     if instance.family is not None:
         n, m, sym_break = instance.family
         yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
-    last_tag = None
-    for cl, tag in zip(instance.clauses, instance.provenance):
-        if tag != last_tag:
-            yield f"c {tag}\n"
-            last_tag = tag
-        yield " ".join(str(lit) for lit in cl) + " 0\n"
+        if len(instance.clauses) == 2 * len(m_interval_line_members(n, m)) + sym_break:
+            for active, pins in m_interval_rows(n, m, _pin_text):
+                yield f"c {_line_name(active, pins)}\n{next(clauses)}{next(clauses)}"
+            if sym_break:
+                yield "c symmetry-break rank0=0\n"
+    yield from clauses
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -165,7 +153,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ValueError(
             f"{_HEADER_TAG} header says n={family[0]}, but the file has {n_vars} variables"
         )
-    return CnfInstance(n_vars, tuple(clauses), ("",) * len(clauses), family)
+    return CnfInstance(n_vars, tuple(clauses), family)
 
 
 def write_dimacs_file(instance: CnfInstance, path: str) -> None:
@@ -421,7 +409,7 @@ class EncoderBugError(RuntimeError):
     the solver that produced it, or the encoder, is wrong."""
 
 
-def decode_model(model: Iterable[int] | Mapping[int, bool], n: int, m: int = 1) -> Coloring:
+def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     """Turn a model into a colouring and verify it against a direct scan.
 
     The model must assign every variable 1..3**n.  Verification failure
@@ -430,16 +418,13 @@ def decode_model(model: Iterable[int] | Mapping[int, bool], n: int, m: int = 1) 
     a "witness" would poison everything downstream.
     """
     size = 3**n
-    if isinstance(model, Mapping):
-        values = dict(model)
-    else:
-        values = {}
-        for lit in model:
-            var = abs(lit)
-            val = lit > 0
-            if values.get(var, val) != val:
-                raise ValueError(f"model assigns variable {var} both ways")
-            values[var] = val
+    values = {}
+    for lit in model:
+        var = abs(lit)
+        val = lit > 0
+        if values.get(var, val) != val:
+            raise ValueError(f"model assigns variable {var} both ways")
+        values[var] = val
     missing = [v for v in range(1, size + 1) if v not in values]
     if missing:
         raise ValueError(f"incomplete model: variable {missing[0]} of {size} unassigned")
@@ -448,5 +433,6 @@ def decode_model(model: Iterable[int] | Mapping[int, bool], n: int, m: int = 1) 
     hits = np.flatnonzero(mono_mask(coloring.bits, m_interval_line_members(n, m)))
     if hits.size:
         line = line_at_row(n, int(hits[0]), m)
-        raise EncoderBugError(f"decoded model leaves {_line_provenance(line)} monochromatic")
+        name = _line_name(line.active, starmap(_pin_text, line.fixed))
+        raise EncoderBugError(f"decoded model leaves {name} monochromatic")
     return coloring

@@ -116,23 +116,15 @@ class Line:
     def __post_init__(self) -> None:
         _check_line_parts(self.n, self.active, self.fixed)
 
-    @property
-    def fixed_map(self) -> dict[int, int]:
-        return dict(self.fixed)
-
     def word_at(self, v: int) -> Word:
         """The line's point with moving letter v."""
         if v not in (1, 2, 3):
             raise ValueError(f"moving letter {v} outside alphabet")
-        fixed = self.fixed_map
+        fixed = dict(self.fixed)
         return Word(tuple(fixed.get(i, v) for i in range(1, self.n + 1)))
 
     def points(self) -> tuple[Word, Word, Word]:
         return (self.word_at(1), self.word_at(2), self.word_at(3))
-
-    def active_runs(self) -> tuple[tuple[int, int], ...]:
-        """Maximal runs of consecutive active coordinates, as (lo, hi) pairs."""
-        return runs_of(self.active)
 
     @property
     def lo(self) -> int:
@@ -250,6 +242,16 @@ def m_interval_line_members(n: int, m: int) -> np.ndarray:
         out[start : start + base.size] = base[:, None] + steps * weight
         start += base.size
     return out
+
+
+def m_interval_rows(n: int, m: int, pin: Callable[[int, int], object]) -> Iterator[tuple]:
+    """Each row k of :func:`m_interval_line_members` as (active, pins): ``line_at_row(n, k, m)``'s
+    active set and ``pin(p, v)`` of its fixed pairs, calling ``pin`` per letter, not per row."""
+    for active in m_interval_active_sets(n, m):
+        choices = [[pin(p, v) for v in ALPHABET] for p in range(1, n + 1) if p not in active]
+        # The last pinned coordinate varies fastest: fixed-part rank order.
+        for pins in itertools.product(*choices):
+            yield active, pins
 
 
 def interval_line_members(n: int) -> np.ndarray:

@@ -10,11 +10,16 @@ case.  A refutation must end with the empty clause.
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Sequence
 
 
-def check_proof(formula: Iterable[Sequence[int]], lemmas: Sequence[Sequence[int]]) -> str | None:
-    """None when the lemmas refute the formula, else the reason they do not."""
+def check_proof(
+    formula: Iterable[Sequence[int]], lemmas: Sequence[Sequence[int]], deadline: float | None = None
+) -> str | None:
+    """None when the lemmas refute the formula, else the reason they do not.
+    Past a ``deadline`` (a :func:`time.monotonic` value, read once per lemma)
+    the check stops with TimeoutError."""
     formula = list(formula)
     n_vars = max((abs(lit) for c in formula + list(lemmas) for lit in c), default=0)
     # Indexed by literal: a negative literal wraps round to the back half.
@@ -79,6 +84,8 @@ def check_proof(formula: Iterable[Sequence[int]], lemmas: Sequence[Sequence[int]
     for clause in formula:
         refuted = refuted or add(clause)
     for k, lemma in enumerate(lemmas, 1):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError(f"the time limit passed with {k - 1} of {len(lemmas)} lemmas checked")
         if not (refuted or rup(lemma)):
             return f"lemma {k} ({' '.join(map(str, lemma))} 0) does not follow by unit propagation"
         refuted = refuted or add(lemma)

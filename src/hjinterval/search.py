@@ -254,11 +254,11 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
-            results = list(pool.map(_restart_task, args))
+            results = list(pool.map(_one_restart, *zip(*args)))
     else:
         results = []
         for a in args:
-            results.append(_restart_task(a))
+            results.append(_one_restart(*a))
             if results[-1][0] == 0:
                 break
     # Restarts are independent, so truncating at the first success gives
@@ -284,7 +284,3 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
         "local", n, OUTCOME_INCONCLUSIVE, coloring=coloring, violations=best,
         seed=seed, budget=budget, stats=stats,
     )
-
-
-def _restart_task(args: tuple[int, int, int]) -> tuple[int, np.ndarray, int]:
-    return _one_restart(*args)

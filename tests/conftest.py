@@ -66,7 +66,7 @@ def two_interval_mono_model():
 
     # The line's points 111, 212, 313 have ranks 0, 10, 20: pin them to colour 0.
     base = encode(3)
-    pinned = CnfInstance(27, base.clauses + ((-1,), (-11,), (-21,)), base.provenance + ("",) * 3)
+    pinned = CnfInstance(27, base.clauses + ((-1,), (-11,), (-21,)))
     outcome = solve_builtin(pinned)
     assert outcome.status == "sat"
     return outcome.model

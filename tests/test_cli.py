@@ -280,7 +280,7 @@ def test_check_proof_verb(tmp_path, capsys):
 
 
 def test_solve_without_family_header_prints_raw_model(tmp_path, capsys):
-    # line provenance alone does not make a file an encoding of a known family
+    # line comments alone do not make a file an encoding of a known family
     cnf_path = tmp_path / "n2.cnf"
     rows = write_dimacs(encode(2)).splitlines()
     cnf_path.write_text("\n".join(r for r in rows if not r.startswith("c hjinterval")) + "\n")
@@ -326,6 +326,37 @@ def test_solve_builtin_honours_timeout(tmp_path, capsys):
     assert "solver=builtin-cdcl" in out
     assert "status=unknown" in out and "status=unsat" not in out
     assert "diagnostics=built-in solver reached its 0.0s limit" in out
+
+
+def test_solve_proof_check_honours_timeout(tmp_path, capsys, monkeypatch):
+    # the solve ignores the limit and refutes; the check that follows must not
+    cnf_path = tmp_path / "n4m4.cnf"
+    run_cli(capsys, "encode", "--n", "4", "--max-intervals", "4", "--sym-break", "--out", str(cnf_path))
+    lemmas = len(solve_builtin(encode(4, m=4, sym_break=True)).proof)
+    monkeypatch.setattr(cli, "solve_builtin", lambda instance, timeout=None: solve_builtin(instance))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--timeout", "0")
+    assert code == 1
+    assert "status=unknown" in out and "status=unsat" not in out
+    assert "proof=" not in out
+    assert f"diagnostics=the refutation is unchecked: the time limit passed with 0 of {lemmas} lemmas" in out
+
+
+@pytest.mark.parametrize(
+    "model, reason",
+    [
+        ("1 -2 3", "incomplete model: variable 4 of 9 unassigned"),
+        ("1 -1 2 3 4 5 6 7 8 9", "model assigns variable 1 both ways"),
+    ],
+)
+def test_solve_bad_external_model_is_unverified(tmp_path, capsys, solver_factory, model, reason):
+    cnf_path = tmp_path / "n2.cnf"
+    write_dimacs_file(encode(2), str(cnf_path))
+    liar = solver_factory(f'print("s SATISFIABLE")\nprint("v {model} 0")\n')
+    code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", liar)
+    assert code == 1
+    assert err == ""
+    assert "status=sat" in out and "verified=no" in out and "coloring=" not in out
+    assert f"diagnostics=the external solver's model is wrong: {reason}" in out
 
 
 def test_solve_foreign_cnf_prints_raw_model(tmp_path, capsys):

@@ -1,9 +1,13 @@
+from itertools import starmap
+
 import numpy as np
 import pytest
 
 from hjinterval.cnf import (
     CnfInstance,
     EncoderBugError,
+    _line_name,
+    _pin_text,
     decode_model,
     encode,
     parse_dimacs,
@@ -16,8 +20,11 @@ from hjinterval.cube import (
     Coloring,
     enumerate_m_interval_lines,
     is_monochromatic,
+    line_at_row,
     m_interval_line_members,
+    m_interval_rows,
     rank,
+    runs_of,
 )
 from hjinterval.drup import check_proof
 from hjinterval.search import violation_count
@@ -61,25 +68,30 @@ def test_encode_m2_counts():
 
 
 def _encode_reference(n, m, sym_break):
-    """The instance encode() must build, made line by line from the enumeration."""
-    clauses, provenance = [], []
+    """The clauses encode() must build and the DIMACS text write_dimacs() must
+    give them, made line by line from the enumeration."""
+    clauses, rows = [], []
     for line in enumerate_m_interval_lines(n, m):
         p, q, r = (rank(w) + 1 for w in line.points())
-        runs = "+".join(f"{lo}..{hi}" for lo, hi in line.active_runs())
-        tag = f"line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-")
+        runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(line.active))
+        rows.append(f"c line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-"))
+        rows += [f"{p} {q} {r} 0", f"-{p} -{q} -{r} 0"]
         clauses += [(p, q, r), (-p, -q, -r)]
-        provenance += [tag, tag]
     if sym_break:
+        rows += ["c symmetry-break rank0=0", "-1 0"]
         clauses.append((-1,))
-        provenance.append("symmetry-break rank0=0")
-    return CnfInstance(3**n, tuple(clauses), tuple(provenance), family=(n, m, sym_break))
+    head = [f"p cnf {3**n} {len(clauses)}", f"c hjinterval n={n} m={m} sym_break={int(sym_break)}"]
+    return tuple(clauses), "\n".join(head + rows) + "\n"
 
 
 def test_encode_matches_enumeration_reference():
     for n in range(1, 5):
         for m in range(1, n + 1):
             for sym_break in (False, True):
-                assert encode(n, m, sym_break) == _encode_reference(n, m, sym_break)
+                clauses, text = _encode_reference(n, m, sym_break)
+                inst = encode(n, m, sym_break)
+                assert inst == CnfInstance(3**n, clauses, family=(n, m, sym_break))
+                assert write_dimacs(inst) == text
 
 
 def test_clause_pairs_follow_member_table_rows():
@@ -121,10 +133,16 @@ def test_encode_rejects_bad_args():
         encode(2, m=0)
 
 
-def test_provenance_aligned_with_clauses():
-    inst = encode(2)
-    assert len(inst.provenance) == len(inst.clauses)
-    assert inst.provenance[0].startswith("line ")
+def test_row_walk_names_the_line_at_each_row():
+    # the writer's walk and line_at_row agree on every row, so the DIMACS
+    # comment over clause pair k names the line the pair encodes
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            lines = [line_at_row(n, k, m) for k in range(len(m_interval_line_members(n, m)))]
+            pairs = list(m_interval_rows(n, m, lambda p, v: (p, v)))
+            assert pairs == [(line.active, line.fixed) for line in lines]
+            names = [_line_name(active, pins) for active, pins in m_interval_rows(n, m, _pin_text)]
+            assert names == [_line_name(l.active, starmap(_pin_text, l.fixed)) for l in lines]
 
 
 def test_dimacs_output_is_stable():
@@ -136,16 +154,25 @@ def test_dimacs_output_is_stable():
 
 
 def test_dimacs_roundtrip():
-    inst = encode(2)
-    back = parse_dimacs(write_dimacs(inst))
-    assert back.n_vars == inst.n_vars
-    assert back.clauses == inst.clauses
+    # a parsed encoding is the same instance and writes back byte for byte
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for sym_break in (False, True):
+                inst = encode(n, m, sym_break)
+                text = write_dimacs(inst)
+                assert parse_dimacs(text) == inst
+                assert write_dimacs(parse_dimacs(text)) == text
 
 
 def test_dimacs_comments_carry_line_provenance():
     text = write_dimacs(encode(2))
     assert "c line 1..1 fixed=2:1" in text
     assert "c line 1..2 fixed=-" in text
+    # line names come from the family, and only when the clauses can be its encoding
+    assert write_dimacs(CnfInstance(2, ((1, -2), (2,)))) == "p cnf 2 2\n1 -2 0\n2 0\n"
+    short = CnfInstance(9, encode(2).clauses[:-1], family=(2, 1, False))
+    assert "c line" not in write_dimacs(short)
+    assert write_dimacs(short).splitlines()[1] == "c hjinterval n=2 m=1 sym_break=0"
 
 
 def test_parse_dimacs_rejects_malformed():
@@ -178,7 +205,7 @@ def test_solve_builtin_sat_small():
 
 
 def test_solve_builtin_unsat():
-    inst = CnfInstance(n_vars=1, clauses=((1,), (-1,)), provenance=("a", "b"))
+    inst = CnfInstance(n_vars=1, clauses=((1,), (-1,)))
     assert solve_builtin(inst).status == "unsat"
 
 
@@ -231,7 +258,7 @@ def test_solve_builtin_agrees_with_brute_force_on_random_3sat():
             tuple(((rng.permutation(n_vars)[:3] + 1) * rng.choice((-1, 1), 3)).tolist())
             for _ in range(n_clauses)
         )
-        out = solve_builtin(CnfInstance(n_vars, clauses, ("",) * n_clauses))
+        out = solve_builtin(CnfInstance(n_vars, clauses))
         verdicts[out.status] += 1
         assert (out.status == "sat") == _brute_force_sat(n_vars, clauses), clauses
         if out.status == "sat":
@@ -250,7 +277,7 @@ def test_solve_builtin_is_deterministic():
 
 def test_instance_rejects_empty_clause():
     with pytest.raises(ValueError):
-        CnfInstance(n_vars=2, clauses=((),), provenance=("empty",))
+        CnfInstance(n_vars=2, clauses=((),))
 
 
 def test_solve_builtin_respects_sym_break():
@@ -266,12 +293,6 @@ def test_m2_instance_decodes_to_two_interval_avoider():
     coloring = decode_model(out.model, 3, m=2)
     for line in enumerate_m_interval_lines(3, 2):
         assert not is_monochromatic(coloring, line)
-
-
-def test_decode_model_mapping_input():
-    out = solve_builtin(encode(2))
-    mapping = {abs(l): l > 0 for l in out.model}
-    assert decode_model(mapping, 2) == decode_model(out.model, 2)
 
 
 def test_decode_model_rejects_contradiction():
@@ -327,7 +348,7 @@ def test_run_solver_happy_path(tmp_path, toy_solver):
 def test_run_solver_reports_unsat(tmp_path, toy_solver):
     path = tmp_path / "bad.cnf"
     write_dimacs_file(
-        CnfInstance(n_vars=1, clauses=((1,), (-1,)), provenance=("a", "b")),
+        CnfInstance(n_vars=1, clauses=((1,), (-1,))),
         str(path),
     )
     assert run_solver(str(path), toy_solver).status == "unsat"

@@ -1,0 +1,30 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize(
+    "script, key_lines",
+    [
+        ("bound_tower.py", ["n0 = 4"]),
+        ("proof_walkthrough.py", ["32 cases, all hit"]),
+        ("sat_frontier.py", ["c line 1..1 fixed=-", "n=5: unsat", "checked"]),
+        ("small_cube_search.py", ["independent recount: 0 violations"]),
+    ],
+)
+def test_demo_runs(script, key_lines, tmp_path, child_env):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)],
+        cwd=tmp_path,
+        env=child_env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for key in key_lines:
+        assert key in proc.stdout

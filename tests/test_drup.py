@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hjinterval.cnf import encode, solve_builtin
@@ -41,6 +43,14 @@ def test_rejects_a_proof_of_a_satisfiable_formula():
     reason = check_proof(inst.clauses, out.proof + ((),))
     assert reason is not None and "does not follow" in reason
     assert check_proof([(1, 2)], [()]) is not None
+
+
+def test_deadline_stops_the_check():
+    inst = encode(4, m=4, sym_break=True)
+    proof = solve_builtin(inst).proof
+    with pytest.raises(TimeoutError, match=f"with 0 of {len(proof)} lemmas checked"):
+        check_proof(inst.clauses, proof, deadline=time.monotonic() - 1)
+    assert check_proof(inst.clauses, proof, deadline=time.monotonic() + 600) is None
 
 
 def test_parse_proof_reads_lemmas_and_skips_comments_and_deletions():
