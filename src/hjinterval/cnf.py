@@ -19,6 +19,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import starmap
 from typing import Iterable, Iterator
 
@@ -40,11 +41,8 @@ _HEADER_PATTERN = rf"c {_HEADER_TAG} n=([1-9][0-9]*) m=([1-9][0-9]*) sym_break=(
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """A CNF formula.
-
-    ``family`` is (n, m, sym_break) for an instance made by :func:`encode`
-    (and read back from its DIMACS header), None for any other formula.
-    """
+    """A CNF formula.  ``family`` is (n, m, sym_break) for an instance made by
+    :func:`encode` (and read back from its DIMACS header), None for any other."""
 
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -62,10 +60,14 @@ class CnfInstance:
 _pin_text = "{}:{}".format  # a fixed pair (p, v) in a line's name
 
 
+@lru_cache(maxsize=1024)  # the writer names every row, and rows share active sets
+def _runs_text(active: tuple[int, ...]) -> str:
+    return "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active))
+
+
 def _line_name(active: tuple[int, ...], pins: Iterable[str]) -> str:
     """A line's name from its active set and pinned texts: "line 1..2+4..4 fixed=3:1,5:2"."""
-    runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active))
-    return f"line {runs} fixed={','.join(pins) or '-'}"
+    return f"line {_runs_text(active)} fixed={','.join(pins) or '-'}"
 
 
 def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
@@ -85,11 +87,10 @@ def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
 def write_dimacs(instance: CnfInstance) -> str:
     """DIMACS text, byte-stable for a given instance.
 
-    A family follows the "p cnf" line as "c hjinterval n=<n> m=<m>
-    sym_break=<0|1>"; if the clause count is the family's, line k of
-    the family is named above clause pair k and "symmetry-break
-    rank0=0" above the unit.  So a parsed file writes back as it was,
-    and a formula without a family gets no comments.
+    A family follows the "p cnf" line as "c hjinterval n=<n> m=<m> sym_break=<0|1>";
+    if the clause count is the family's, line k of the family is named above clause
+    pair k and "symmetry-break rank0=0" above the unit.  So a parsed file writes
+    back as it was, and a formula without a family gets no comments.
     """
     return "".join(_dimacs_lines(instance))
 

@@ -246,10 +246,10 @@ def m_interval_line_members(n: int, m: int) -> np.ndarray:
 
 def m_interval_rows(n: int, m: int, pin: Callable[[int, int], object]) -> Iterator[tuple]:
     """Each row k of :func:`m_interval_line_members` as (active, pins): ``line_at_row(n, k, m)``'s
-    active set and ``pin(p, v)`` of its fixed pairs, calling ``pin`` per letter, not per row."""
+    active set and ``pin(p, v)`` of its fixed pairs, the last pinned coordinate varying fastest."""
     for active in m_interval_active_sets(n, m):
+        # pin runs once per pinned letter, not once per row
         choices = [[pin(p, v) for v in ALPHABET] for p in range(1, n + 1) if p not in active]
-        # The last pinned coordinate varies fastest: fixed-part rank order.
         for pins in itertools.product(*choices):
             yield active, pins
 

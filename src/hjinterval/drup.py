@@ -17,9 +17,8 @@ from typing import Iterable, Sequence
 def check_proof(
     formula: Iterable[Sequence[int]], lemmas: Sequence[Sequence[int]], deadline: float | None = None
 ) -> str | None:
-    """None when the lemmas refute the formula, else the reason they do not.
-    Past a ``deadline`` (a :func:`time.monotonic` value, read once per lemma)
-    the check stops with TimeoutError."""
+    """None when the lemmas refute the formula, else the reason they do not; TimeoutError
+    once past ``deadline``, a :func:`time.monotonic` value read once per lemma."""
     formula = list(formula)
     n_vars = max((abs(lit) for c in formula + list(lemmas) for lit in c), default=0)
     # Indexed by literal: a negative literal wraps round to the back half.

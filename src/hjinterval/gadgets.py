@@ -35,7 +35,6 @@ from .cube import (
     is_monochromatic,
     line_at_row,
     mono_mask,
-    runs_of,
 )
 from .patterns import Pattern, realize
 
@@ -359,7 +358,7 @@ class LineCertificate:
     def __post_init__(self) -> None:
         if self.color not in (0, 1):
             raise ValueError("certificate colour must be 0 or 1")
-        if len(runs_of(self.line.active)) != 1:
+        if self.line.active != tuple(range(self.line.lo, self.line.hi + 1)):
             raise ValueError(f"active set {self.line.active} is not one interval")
         if self.members != self.line.points():
             raise ValueError("certificate members do not match the line's points")
