@@ -111,7 +111,8 @@ def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Read DIMACS back; counts are enforced, and comments are dropped
-    except the family header that :func:`write_dimacs` puts after "p cnf"."""
+    except the family header that :func:`write_dimacs` puts after "p cnf".
+    A file with that header must hold exactly the family's encoding, in order."""
     n_vars = None
     expected = None
     family = None
@@ -150,10 +151,20 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ValueError("trailing literals without closing 0")
     if expected != len(clauses):
         raise ValueError(f"header promises {expected} clauses, file has {len(clauses)}")
-    if family is not None and 3 ** family[0] != n_vars:
-        raise ValueError(
-            f"{_HEADER_TAG} header says n={family[0]}, but the file has {n_vars} variables"
-        )
+    if family is not None:
+        n, m, sym_break = family
+        # 3**n > 2**n, so an n past the bit length of n_vars is refused without the power.
+        if n > n_vars.bit_length() or 3**n != n_vars:
+            raise ValueError(
+                f"{_HEADER_TAG} header says n={n}, but the file has {n_vars} variables"
+            )
+        # Every family holds the 3**(n-1) lines with active set {1}: a file with fewer
+        # clause pairs is refused before encode builds the family's table.
+        if len(clauses) < 2 * 3 ** (n - 1) or tuple(clauses) != encode(*family).clauses:
+            raise ValueError(
+                f"the clauses are not the encoding of n={n} m={m} sym_break={int(sym_break)} "
+                f"that the {_HEADER_TAG} header names"
+            )
     return CnfInstance(n_vars, tuple(clauses), family)
 
 
@@ -203,7 +214,12 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
                 status = "unsat"
         elif row.startswith("v "):
             for tok in row[2:].split():
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    return SolveOutcome(
+                        "unknown", diagnostics=f"bad literal {tok!r} in the solver's v-line"
+                    )
                 if lit != 0:
                     model.append(lit)
     if status == "sat":

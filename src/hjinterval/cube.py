@@ -455,8 +455,9 @@ def coloring_from_text(text: str) -> Coloring:
         raise ValueError(f"bad dimension {n} in colouring header")
     if body.endswith("\n"):
         body = body[:-1]
-    if len(body) != 3**n:
-        raise ValueError(f"expected {3 ** n} colour characters for n={n}, got {len(body)}")
+    # 3**n > 2**n, so an n past the bit length of the body is refused without the power.
+    if n > len(body).bit_length() or len(body) != 3**n:
+        raise ValueError(f"expected 3**{n} colour characters for n={n}, got {len(body)}")
     # Latin-1 keeps one byte per character; anything beyond it becomes "?".
     bits = np.frombuffer(body.encode("latin-1", "replace"), dtype=np.uint8) - ord("0")
     bad = bits > 1

@@ -174,6 +174,11 @@ def _restart_seed(seed: int, index: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 1) % (1 << 63)
 
 
+def _mono(ones: np.ndarray) -> np.ndarray:
+    """Which lines are monochromatic, from each line's count of colour-1 members."""
+    return (ones == 0) | (ones == 3)
+
+
 def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
     """Steepest descent from one random colouring.
 
@@ -183,50 +188,40 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     """
     rng = np.random.default_rng(restart_seed)
     size = 3**n
-    members = interval_line_members(n)
+    # One row per position on a line, so a line's count of ones is two elementwise adds.
+    members = np.ascontiguousarray(interval_line_members(n).T)
     bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-    ones = bits[members].sum(axis=1).astype(np.int32)
-    sideways_cap = 2 * size
-    best_bits = bits.copy()
+    best = members.shape[1] + 1
     flips = 0
     sideways = 0
-
-    def mono_total() -> int:
-        return int(((ones == 0) | (ones == 3)).sum())
-
-    violations = mono_total()
-    best = violations
-    while flips < max_flips and violations > 0:
-        mono_now = (ones == 0) | (ones == 3)
-        delta = np.zeros(size, dtype=np.int32)
-        for col in range(3):
-            cells = members[:, col]
-            b = bits[cells]
-            mono_after = np.where(b == 0, ones == 2, ones == 1)
-            np.add.at(delta, cells, mono_after.astype(np.int32) - mono_now.astype(np.int32))
-        lowest = int(delta.min())
+    while True:
+        # Recounted from the table on every flip: at these sizes that costs less
+        # than keeping per-line counts up to date.
+        cols = bits[members].view(np.int8)
+        ones = cols.sum(0, dtype=np.int8)
+        mono_now = _mono(ones)
+        violations = int(mono_now.sum())
+        if violations < best:
+            best, best_bits = violations, bits.copy()
+        if violations == 0 or flips == max_flips:
+            break
+        # Flipping a member moves its line's count by +1 from colour 0 and by -1 from 1.
+        gain = _mono(ones + 1 - 2 * cols).view(np.int8) - mono_now
+        delta = np.bincount(members.ravel(), gain.ravel(), size)
+        lowest = delta.min()
         if lowest > 0:
             break
         candidates = np.flatnonzero(delta == lowest)
         if lowest == 0:
             sideways += 1
-            if sideways > sideways_cap:
+            if sideways > 2 * size:
                 break
-            cell = int(candidates[rng.integers(0, candidates.size)])
+            cell = candidates[rng.integers(0, candidates.size)]
         else:
             sideways = 0
-            cell = int(candidates[0])
-        old = int(bits[cell])
+            cell = candidates[0]
         bits[cell] ^= 1
-        ones[np.flatnonzero((members == cell).any(axis=1))] += 1 - 2 * old
-        violations += lowest
         flips += 1
-        if violations < best:
-            best = violations
-            best_bits = bits.copy()
-    if violations < best:
-        best = violations
-        best_bits = bits.copy()
     return best, best_bits, flips
 
 
@@ -234,10 +229,10 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     """Minimize monochromatic interval lines by single-cell flips.
 
     The budget is a total flip allowance, split into independently
-    seeded restarts; results are identical for a given (n, seed, budget)
-    no matter how many workers execute the restarts.  Finding a
-    violation-free colouring ends the run; otherwise the best colouring
-    seen is reported as inconclusive.
+    seeded restarts run in order; the first violation-free colouring
+    ends the run, otherwise the best colouring seen is reported as
+    inconclusive.  With jobs > 1 the restarts run in worker processes,
+    and the report is the same as with one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -250,37 +245,30 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     per_restart = min(budget, max(30 * size, 300))
     restarts = max(1, -(-budget // per_restart))
     args = [(n, _restart_seed(seed, k), per_restart) for k in range(restarts)]
+    pool = None
     if jobs > 1 and restarts > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
-            results = list(pool.map(_one_restart, *zip(*args)))
-    else:
-        results = []
-        for a in args:
-            results.append(_one_restart(*a))
-            if results[-1][0] == 0:
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, restarts))
+    used = []
+    try:
+        for result in (pool.map if pool else map)(_one_restart, *zip(*args)):
+            used.append(result)
+            if result[0] == 0:
                 break
-    # Restarts are independent, so truncating at the first success gives
-    # the same report whether or not later restarts were actually run.
-    first_success = next((k for k, r in enumerate(results) if r[0] == 0), None)
-    used = results if first_success is None else results[: first_success + 1]
-    best_idx = min(range(len(used)), key=lambda k: (used[k][0], k))
-    best, best_bits, _ = used[best_idx]
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    best, best_bits, _ = min(used, key=lambda r: r[0])
     stats = {
         "restarts": len(used),
         "flips": sum(r[2] for r in used),
         "wall_time_s": time.perf_counter() - t0,
     }
     coloring = Coloring(n, best_bits)
-    if best == 0:
-        if violation_count(coloring) != 0:
-            raise RuntimeError("internal error: local search reported a non-avoider")
-        return SearchReport(
-            "local", n, OUTCOME_FOUND, coloring=coloring, violations=0,
-            seed=seed, budget=budget, stats=stats,
-        )
+    if best == 0 and violation_count(coloring) != 0:
+        raise RuntimeError("internal error: local search reported a non-avoider")
     return SearchReport(
-        "local", n, OUTCOME_INCONCLUSIVE, coloring=coloring, violations=best,
-        seed=seed, budget=budget, stats=stats,
+        "local", n, OUTCOME_FOUND if best == 0 else OUTCOME_INCONCLUSIVE, coloring=coloring,
+        violations=best, seed=seed, budget=budget, stats=stats,
     )

@@ -70,3 +70,10 @@ def two_interval_mono_model():
     outcome = solve_builtin(pinned)
     assert outcome.status == "sat"
     return outcome.model
+
+
+@pytest.fixture
+def two_cube_unsat_cnf():
+    """A refutable CNF under the header of encode(2), whose 2-cube has avoiders."""
+
+    return "p cnf 9 2\nc hjinterval n=2 m=1 sym_break=0\n1 0\n-1 0\n"

@@ -309,13 +309,29 @@ def test_solve_honors_env_solver(tmp_path, capsys, monkeypatch, toy_solver):
     assert f"solver={toy_solver}" in out
 
 
-def test_solve_unknown_is_inconclusive(tmp_path, capsys):
+def test_solve_unknown_is_inconclusive(tmp_path, capsys, solver_factory):
     cnf_path = tmp_path / "n1.cnf"
     write_dimacs_file(encode(1), str(cnf_path))
-    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", "missing-binary")
-    assert code == 1
-    assert "status=unknown" in out
-    assert "diagnostics=" in out
+    garbled = solver_factory('print("s SATISFIABLE")\nprint("v 1 -2 x 0")\n')
+    for solver in ("missing-binary", garbled):
+        code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", solver)
+        assert code == 1
+        assert err == ""
+        assert "status=unknown" in out
+        assert "diagnostics=" in out
+    assert "diagnostics=bad literal 'x' in the solver's v-line" in out
+
+
+def test_family_header_over_foreign_clauses_is_refused(tmp_path, capsys, two_cube_unsat_cnf):
+    # the clauses refute, but they are not the 2-cube's encoding, which has avoiders
+    cnf_path, proof_path = tmp_path / "n2.cnf", tmp_path / "n2.drup"
+    cnf_path.write_text(two_cube_unsat_cnf)
+    proof_path.write_text("0\n")
+    for argv in (("solve",), ("check-proof", "--proof", str(proof_path))):
+        code, out, err = run_cli(capsys, *argv, "--cnf", str(cnf_path))
+        assert code == 2
+        assert "status=" not in out and "proof=" not in out
+        assert "not the encoding of n=2 m=1 sym_break=0" in err
 
 
 def test_solve_builtin_honours_timeout(tmp_path, capsys):

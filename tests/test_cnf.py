@@ -126,6 +126,25 @@ def test_parse_dimacs_rejects_bad_family_header():
             parse_dimacs(f"p cnf 27 1\n{header}\n1 2 3 0\n")
 
 
+def test_parse_dimacs_requires_the_family_encoding(two_cube_unsat_cnf):
+    # the header's family holds only its own clauses, in the encoder's order
+    with pytest.raises(ValueError, match="not the encoding of n=2 m=1 sym_break=0"):
+        parse_dimacs(two_cube_unsat_cnf)
+    clauses = encode(2).clauses
+    for wrong in (clauses[::-1], clauses[:-2] + ((1, 2, 4), (-1, -2, -4))):
+        text = write_dimacs(CnfInstance(9, wrong, family=(2, 1, False)))
+        with pytest.raises(ValueError, match="not the encoding of n=2 m=1 sym_break=0"):
+            parse_dimacs(text)
+    with pytest.raises(ValueError, match="not the encoding of n=2 m=1 sym_break=1"):
+        parse_dimacs(write_dimacs(CnfInstance(9, clauses, family=(2, 1, True))))
+
+
+def test_parse_dimacs_refuses_huge_n_by_its_size():
+    with pytest.raises(ValueError) as err:
+        parse_dimacs("p cnf 9 0\nc hjinterval n=1000000 m=1 sym_break=0\n")
+    assert str(err.value) == "hjinterval header says n=1000000, but the file has 9 variables"
+
+
 def test_encode_rejects_bad_args():
     with pytest.raises(ValueError):
         encode(0)
@@ -365,10 +384,11 @@ def test_run_solver_missing_binary(tmp_path):
 def test_run_solver_garbage_output(tmp_path, solver_factory):
     path = tmp_path / "n1.cnf"
     write_dimacs_file(encode(1), str(path))
-    cmd = solver_factory("print('hello, is this sat?')")
-    out = run_solver(str(path), cmd)
-    assert out.status == "unknown"
-    assert out.model is None
+    for body in ("print('hello, is this sat?')", "print('s SATISFIABLE')\nprint('v 1 -2 x 0')"):
+        out = run_solver(str(path), solver_factory(body))
+        assert out.status == "unknown"
+        assert out.model is None
+    assert out.diagnostics == "bad literal 'x' in the solver's v-line"
 
 
 def test_run_solver_sat_without_model(tmp_path, solver_factory):

@@ -292,6 +292,13 @@ def test_coloring_text_rejects_malformed():
             coloring_from_text(bad)
 
 
+def test_coloring_text_refuses_huge_n_by_its_size():
+    # 3**n is never built for an n the body cannot hold
+    with pytest.raises(ValueError) as err:
+        coloring_from_text("HJC 3 1000000\n" + "0" * 9 + "\n")
+    assert str(err.value) == "expected 3**1000000 colour characters for n=1000000, got 9"
+
+
 def test_coloring_text_error_names_first_bad_character():
     for body, ch, pos in (
         ("01/" + "0" * 6, "/", 2),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -160,10 +161,30 @@ def test_local_search_deterministic():
     assert a.coloring == b.coloring
 
 
+@pytest.mark.parametrize(
+    "n, seed, budget, outcome, violations, flips, restarts, digest",
+    [
+        (4, 7, 40000, OUTCOME_FOUND, 0, 1224, 6, "0abb7006d143b59d"),
+        (5, 1, 15000, OUTCOME_INCONCLUSIVE, 3, 3030, 3, "f1b16abb9e2b9fc9"),
+        (6, 3, 2187, OUTCOME_INCONCLUSIVE, 29, 2187, 1, "b75e531dbf31cbfe"),
+    ],
+)
+def test_local_search_reports_are_pinned(n, seed, budget, outcome, violations, flips, restarts, digest):
+    # the descent's random-number order, tie-breaks and stopping rules fix these exactly
+    report = local_search(n, seed=seed, budget=budget)
+    assert report.outcome == outcome
+    assert report.violations == violations == violation_count(report.coloring)
+    assert (report.stats["flips"], report.stats["restarts"]) == (flips, restarts)
+    assert hashlib.sha256(report.coloring.bitstring.encode()).hexdigest()[:16] == digest
+
+
 def test_local_search_jobs_invariant():
-    a = local_search(3, seed=9, budget=8000, jobs=1)
-    b = local_search(3, seed=9, budget=8000, jobs=2)
-    assert a.semantic_fields() == b.semantic_fields()
+    # (5, 4, 21870) runs three restarts and finds no avoider, so the best of them is chosen
+    for n, seed, budget in ((3, 9, 8000), (5, 4, 21870)):
+        a = local_search(n, seed=seed, budget=budget, jobs=1)
+        b = local_search(n, seed=seed, budget=budget, jobs=2)
+        assert a.semantic_fields() == b.semantic_fields()
+    assert a.outcome == OUTCOME_INCONCLUSIVE and a.stats["restarts"] == 3
 
 
 def test_local_search_gives_up_honestly():
