@@ -3,7 +3,10 @@
 # One boolean variable per cube cell (variable r+1 holds the colour of the
 # cell with rank r).  Each interval line contributes two clauses: not all
 # three cells colour 0, not all three colour 1.  An avoider exists exactly
-# when the formula is satisfiable.
+# when the formula is satisfiable.  The clauses sit in one int32 array, one
+# clause a row; a clause shorter than the widest is padded with zeros after
+# its last literal (the sym-break unit is the row -1 0 0), and
+# clause_tuples() gives them back as tuples with the padding stripped.
 
 from hjinterval import (
     decode_model,
@@ -50,7 +53,7 @@ print()
 
 inst5 = encode(5)
 refutation = solve_builtin(inst5)
-verdict = check_proof(inst5.clauses, refutation.proof)
+verdict = check_proof(inst5.clause_tuples(), refutation.proof)
 print(f"n=5: {refutation.status}, DRUP proof of {len(refutation.proof)} lemmas "
       f"{'checked' if verdict is None else 'REJECTED: ' + verdict}")
 rows = dict(tower())

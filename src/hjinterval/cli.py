@@ -156,7 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if outcome.status == "unsat":
         # The refutation counts only once its proof has been checked.
         try:
-            reason = check_proof(instance.clauses, outcome.proof, deadline)
+            reason = check_proof(instance.clause_tuples(), outcome.proof, deadline)
         except TimeoutError as exc:
             print("status=unknown")
             print(f"diagnostics=the refutation is unchecked: {exc}")
@@ -197,7 +197,7 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
         instance = parse_dimacs(fh.read())
     with open(args.proof, "r", encoding="ascii") as fh:
         lemmas = parse_proof(fh.read())
-    return _report_proof(check_proof(instance.clauses, lemmas), lemmas)
+    return _report_proof(check_proof(instance.clause_tuples(), lemmas), lemmas)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000)
     p.add_argument("--no-symmetry", action="store_true", help="disable symmetry pruning")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for local restarts")
     p.add_argument("--out", help="avoider file (default avoider-n<N>.hjc)")
     p.set_defaults(func=cmd_search)
 

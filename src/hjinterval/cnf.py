@@ -3,11 +3,13 @@
 Variable i+1 is the colour of the word of rank i.  Every line (active
 set a union of at most m intervals) contributes two clauses: not all
 three members colour 0, not all three colour 1, so models are exactly
-the colourings with no monochromatic line of that family.  Instances
-are written as DIMACS with a header comment naming the encoded family
-(n, m and symmetry breaking), which also names the line of each clause
-pair; they can be fed to any external solver that takes a file path
-and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
+the colourings with no monochromatic line of that family.  Clauses are
+one int32 array: clause k is row k, zero-padded after its last literal
+(width 3 for every encoded family; the sym-break unit is -1 0 0).
+Instances are written as DIMACS with a header comment naming the encoded
+family (n, m and symmetry breaking), which also names the line of each
+clause pair; they can be fed to any external solver that takes a file
+path and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
 built-in CDCL solver, which logs a DRUP proof of every unsat answer,
 decides the cubes this package cares about when no solver is installed.
 """
@@ -19,7 +21,6 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import starmap
 from typing import Iterable, Iterator
 
@@ -27,47 +28,64 @@ import numpy as np
 
 from .cube import (
     Coloring,
+    is_count,
     line_at_row,
+    m_interval_blocks,
     m_interval_line_members,
-    m_interval_rows,
     mono_mask,
     runs_of,
 )
 
 # First word of the DIMACS comment that names an encoded instance's family.
 _HEADER_TAG = "hjinterval"
-_HEADER_PATTERN = rf"c {_HEADER_TAG} n=([1-9][0-9]*) m=([1-9][0-9]*) sym_break=([01])"
+_HEADER_PATTERN = rf"c {_HEADER_TAG} n=([1-9][0-9]{{0,17}}) m=([1-9][0-9]{{0,17}}) sym_break=([01])"
 
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """A CNF formula.  ``family`` is (n, m, sym_break) for an instance made by
-    :func:`encode` (and read back from its DIMACS header), None for any other."""
+    """A CNF formula: ``clauses`` is a 2-D integer array, one clause a row, zeros after
+    its last literal, kept as a read-only int32 copy.  ``family`` is (n, m, sym_break)
+    for an instance made by :func:`encode` (and read back from DIMACS), None for any other."""
 
     n_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    clauses: np.ndarray
     family: tuple[int, int, bool] | None = None
 
     def __post_init__(self) -> None:
-        for cl in self.clauses:
-            if not cl:
-                raise ValueError("empty clause")
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.n_vars:
-                    raise ValueError(f"literal {lit} outside +-1..{self.n_vars}")
+        rows = np.asarray(self.clauses, dtype=np.int64)
+        if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
+            raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
+        # Clause k is well formed when its first count[k] entries, and only they, are literals.
+        live = rows != 0
+        count = live.sum(1)
+        bad = (count == 0) | (live != (np.arange(rows.shape[1]) < count[:, None])).any(1)
+        if bad.any():
+            raise ValueError(f"clause {bad.argmax()} is empty or has a 0 before its last literal")
+        beyond = np.abs(rows) > self.n_vars
+        if beyond.any():
+            raise ValueError(f"literal {rows[beyond][0]} outside +-1..{self.n_vars}")
+        object.__setattr__(self, "clauses", rows.astype(np.int32))
+        self.clauses.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CnfInstance):
+            return NotImplemented
+        same = (self.n_vars, self.family) == (other.n_vars, other.family)
+        return same and bool(np.array_equal(self.clauses, other.clauses))
+
+    def clause_tuples(self) -> list[tuple[int, ...]]:
+        """The clauses as tuples of Python ints, the padding stripped."""
+        return [tuple(filter(None, row)) for row in self.clauses.tolist()]
 
 
 _pin_text = "{}:{}".format  # a fixed pair (p, v) in a line's name
 
 
-@lru_cache(maxsize=1024)  # the writer names every row, and rows share active sets
-def _runs_text(active: tuple[int, ...]) -> str:
-    return "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active))
-
-
-def _line_name(active: tuple[int, ...], pins: Iterable[str]) -> str:
-    """A line's name from its active set and pinned texts: "line 1..2+4..4 fixed=3:1,5:2"."""
-    return f"line {_runs_text(active)} fixed={','.join(pins) or '-'}"
+def _line_names(active: tuple[int, ...], rows: Iterable[Iterable[str]]) -> list[str]:
+    """Names of lines with one active set, from each line's pinned texts:
+    "line 1..2+4..4 fixed=3:1,5:2"."""
+    head = "line " + "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active)) + " fixed="
+    return [head + (",".join(pins) or "-") for pins in rows]
 
 
 def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
@@ -76,12 +94,11 @@ def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
     With sym_break, one unit clause pins the rank-0 cell to colour 0;
     that is sound because the colour swap maps avoiders to avoiders.
     """
-    clauses = []
-    for p, q, r in zip(*(m_interval_line_members(n, m) + 1).T.tolist()):
-        clauses += ((p, q, r), (-p, -q, -r))
+    lits = m_interval_line_members(n, m) + 1
+    rows = np.stack((lits, -lits), axis=1).reshape(-1, 3)
     if sym_break:
-        clauses.append((-1,))
-    return CnfInstance(3**n, tuple(clauses), family=(n, m, bool(sym_break)))
+        rows = np.vstack((rows, (-1, 0, 0)))
+    return CnfInstance(3**n, rows, family=(n, m, bool(sym_break)))
 
 
 def write_dimacs(instance: CnfInstance) -> str:
@@ -96,33 +113,39 @@ def write_dimacs(instance: CnfInstance) -> str:
 
 
 def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
-    yield f"p cnf {instance.n_vars} {len(instance.clauses)}\n"
-    clauses = (("%d " * len(cl)) % cl + "0\n" for cl in instance.clauses)
+    rows = instance.clauses
+    yield f"p cnf {instance.n_vars} {len(rows)}\n"
+    names: list[str] = []  # the comment line above each even row, from the family
     if instance.family is not None:
         n, m, sym_break = instance.family
         yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
-        if len(instance.clauses) == 2 * len(m_interval_line_members(n, m)) + sym_break:
-            for active, pins in m_interval_rows(n, m, _pin_text):
-                yield f"c {_line_name(active, pins)}\n{next(clauses)}{next(clauses)}"
-            if sym_break:
-                yield "c symmetry-break rank0=0\n"
-    yield from clauses
+        if len(rows) == 2 * len(m_interval_line_members(n, m)) + sym_break:
+            blocks = starmap(_line_names, m_interval_blocks(n, m, _pin_text))
+            names = [f"c {name}\n" for block in blocks for name in block]
+            names += ["c symmetry-break rank0=0\n"] * sym_break
+    # words[top + v] is literal v's text ("" for the padding 0): like the solver's
+    # per-variable lists, it takes memory in proportion to the largest variable.
+    top = int(np.abs(rows).max(initial=0))
+    words = np.array([f"{v} " if v else "" for v in range(-top, top + 1)], dtype=object)
+    for start in range(0, len(rows), 4096):  # a slice at a time, so no text is ever whole
+        block, above = rows[start : start + 4096], names[start // 2 : start // 2 + 2048]
+        cells = np.empty((len(block), block.shape[1] + 2), dtype=object)  # row k: clause k
+        cells[:, 0], cells[:, 1:-1], cells[:, -1] = "", words[top + block], "0\n"
+        cells[: 2 * len(above) : 2, 0] = above
+        yield "".join(cells.ravel().tolist())
 
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Read DIMACS back; counts are enforced, and comments are dropped
     except the family header that :func:`write_dimacs` puts after "p cnf".
     A file with that header must hold exactly the family's encoding, in order."""
-    n_vars = None
-    expected = None
-    family = None
-    lits: list[int] = []
-    clauses: list[tuple[int, ...]] = []
+    n_vars = expected = family = None
+    body: list[str] = []  # the clause lines
     for row in text.splitlines():
         row = row.strip()
         if not row:
             continue
-        if row.startswith("c"):
+        if row[0] == "c":
             if row.startswith(f"c {_HEADER_TAG} "):
                 match = re.fullmatch(_HEADER_PATTERN, row)
                 if match is None:
@@ -130,27 +153,33 @@ def parse_dimacs(text: str) -> CnfInstance:
                 n, m, sym_break = map(int, match.groups())
                 family = (n, m, bool(sym_break))
             continue
-        if row.startswith("p"):
+        if row[0] == "p":
             parts = row.split()
-            if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"] or not all(map(is_count, parts[2:])):
                 raise ValueError(f"bad DIMACS header {row!r}")
             n_vars, expected = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:
             raise ValueError("clause before DIMACS header")
-        for tok in row.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(lits))
-                lits = []
-            else:
-                lits.append(lit)
+        body.append(row)
     if n_vars is None:
         raise ValueError("missing DIMACS header")
-    if lits:
+    try:
+        lits = np.array(list(map(int, " ".join(body).split())), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a literal outside the int64 range") from None
+    if lits.size and lits[-1]:
         raise ValueError("trailing literals without closing 0")
-    if expected != len(clauses):
-        raise ValueError(f"header promises {expected} clauses, file has {len(clauses)}")
+    ends = np.flatnonzero(lits == 0)
+    if expected != len(ends):
+        raise ValueError(f"header promises {expected} clauses, file has {len(ends)}")
+    # Row k takes clause k's tokens, closing 0 included, in order; the last column is all 0.
+    sizes = np.diff(ends, prepend=-1)
+    if len(ends) * sizes.max(initial=1) > 2**26:  # padding can make cells outnumber tokens
+        raise ValueError(f"{len(ends)} clauses of up to {sizes.max() - 1} literals pass 2**26 cells")
+    rows = np.zeros((len(ends), sizes.max(initial=1)), dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = lits
+    rows = rows[:, :-1]
     if family is not None:
         n, m, sym_break = family
         # 3**n > 2**n, so an n past the bit length of n_vars is refused without the power.
@@ -160,16 +189,15 @@ def parse_dimacs(text: str) -> CnfInstance:
             )
         # Every family holds the 3**(n-1) lines with active set {1}: a file with fewer
         # clause pairs is refused before encode builds the family's table.
-        if len(clauses) < 2 * 3 ** (n - 1) or tuple(clauses) != encode(*family).clauses:
+        if len(rows) < 2 * 3 ** (n - 1) or not np.array_equal(rows, encode(*family).clauses):
             raise ValueError(
                 f"the clauses are not the encoding of n={n} m={m} sym_break={int(sym_break)} "
                 f"that the {_HEADER_TAG} header names"
             )
-    return CnfInstance(n_vars, tuple(clauses), family)
+    return CnfInstance(n_vars, rows, family)
 
 
 def write_dimacs_file(instance: CnfInstance, path: str) -> None:
-    # Line by line, so the whole text never sits in memory at once.
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(_dimacs_lines(instance))
 
@@ -368,7 +396,7 @@ def solve_builtin(instance: CnfInstance, timeout: float | None = None) -> SolveO
         proof.append(())
         return SolveOutcome("unsat", proof=tuple(proof))
 
-    for cl in instance.clauses:
+    for cl in instance.clause_tuples():
         lits = list(dict.fromkeys(2 * abs(l) + (l < 0) for l in cl))
         if len(lits) > 1:
             add_clause(lits)
@@ -450,6 +478,6 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     hits = np.flatnonzero(mono_mask(coloring.bits, m_interval_line_members(n, m)))
     if hits.size:
         line = line_at_row(n, int(hits[0]), m)
-        name = _line_name(line.active, starmap(_pin_text, line.fixed))
+        name = _line_names(line.active, [starmap(_pin_text, line.fixed)])[0]
         raise EncoderBugError(f"decoded model leaves {name} monochromatic")
     return coloring

@@ -244,14 +244,13 @@ def m_interval_line_members(n: int, m: int) -> np.ndarray:
     return out
 
 
-def m_interval_rows(n: int, m: int, pin: Callable[[int, int], object]) -> Iterator[tuple]:
-    """Each row k of :func:`m_interval_line_members` as (active, pins): ``line_at_row(n, k, m)``'s
-    active set and ``pin(p, v)`` of its fixed pairs, the last pinned coordinate varying fastest."""
+def m_interval_blocks(n: int, m: int, pin: Callable[[int, int], object]) -> Iterator[tuple]:
+    """Rows k of :func:`m_interval_line_members` by active set, as (active, rows): ``rows`` yields
+    ``pin(p, v)`` of each ``line_at_row(n, k, m)``'s fixed pairs, the last pinned one fastest."""
     for active in m_interval_active_sets(n, m):
         # pin runs once per pinned letter, not once per row
         choices = [[pin(p, v) for v in ALPHABET] for p in range(1, n + 1) if p not in active]
-        for pins in itertools.product(*choices):
-            yield active, pins
+        yield active, itertools.product(*choices)
 
 
 def interval_line_members(n: int) -> np.ndarray:
@@ -439,6 +438,12 @@ def apply_symmetry(coloring: Coloring, g: Symmetry) -> Coloring:
 # other byte is an error.
 
 
+def is_count(text: str) -> bool:
+    """Whether a header field is a count: 1 to 18 ASCII digits, so that int() reads it
+    and the value fits in an int64 (int() alone takes other digits and 4300 of them)."""
+    return text.isascii() and text.isdigit() and len(text) <= 18
+
+
 def coloring_to_text(coloring: Coloring) -> str:
     return f"HJC 3 {coloring.n}\n{coloring.bitstring}\n"
 
@@ -448,7 +453,7 @@ def coloring_from_text(text: str) -> Coloring:
     if not sep:
         raise ValueError("colouring file needs a header line 'HJC 3 <n>'")
     parts = head.split(" ")
-    if len(parts) != 3 or parts[0] != "HJC" or parts[1] != "3" or not parts[2].isdigit():
+    if len(parts) != 3 or parts[0] != "HJC" or parts[1] != "3" or not is_count(parts[2]):
         raise ValueError(f"bad colouring header {head!r}")
     n = int(parts[2])
     if n < 1:

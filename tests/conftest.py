@@ -2,6 +2,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hjinterval
@@ -66,7 +67,7 @@ def two_interval_mono_model():
 
     # The line's points 111, 212, 313 have ranks 0, 10, 20: pin them to colour 0.
     base = encode(3)
-    pinned = CnfInstance(27, base.clauses + ((-1,), (-11,), (-21,)))
+    pinned = CnfInstance(27, np.vstack((base.clauses, ((-1, 0, 0), (-11, 0, 0), (-21, 0, 0)))))
     outcome = solve_builtin(pinned)
     assert outcome.status == "sat"
     return outcome.model

@@ -334,6 +334,19 @@ def test_family_header_over_foreign_clauses_is_refused(tmp_path, capsys, two_cub
         assert "not the encoding of n=2 m=1 sym_break=0" in err
 
 
+def test_negative_variable_count_is_refused(tmp_path, capsys):
+    cnf_path = tmp_path / "neg.cnf"
+    cnf_path.write_text("p cnf -3 0\n")
+    code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert code == 2
+    assert "status=" not in out and "model=" not in out
+    assert err == "error: bad DIMACS header 'p cnf -3 0'\n"
+
+
+def test_search_jobs_defaults_to_one():
+    assert cli.build_parser().parse_args(["search", "--n", "4"]).jobs == 1
+
+
 def test_solve_builtin_honours_timeout(tmp_path, capsys):
     cnf_path = tmp_path / "n5.cnf"
     write_dimacs_file(encode(5), str(cnf_path))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import re
 from itertools import starmap
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hjinterval.cnf import (
     CnfInstance,
     EncoderBugError,
-    _line_name,
+    _line_names,
     _pin_text,
     decode_model,
     encode,
@@ -21,8 +24,8 @@ from hjinterval.cube import (
     enumerate_m_interval_lines,
     is_monochromatic,
     line_at_row,
+    m_interval_blocks,
     m_interval_line_members,
-    m_interval_rows,
     rank,
     runs_of,
 )
@@ -30,6 +33,26 @@ from hjinterval.drup import check_proof
 from hjinterval.search import violation_count
 
 EXPECTED_SIZES = {1: (3, 2), 2: (9, 14), 3: (27, 68)}
+
+# sha256 of write_dimacs(encode(n, m, sym_break)), recorded from the writer that
+# formatted one tuple of Python ints per clause; the array writer must match it.
+GOLDEN_DIMACS_SHA256 = {
+    (6, 1, False): "338eab91484a9a3fcd89fd2c71151ef47cca1363b2e0f2ccffed8a3d0133c0a1",
+    (6, 1, True): "3a65100970fc1b32f70460dc5acd46b37f735fa1be4dd2263c6be8edd8776965",
+    (6, 6, False): "a5d1b11b02607a009f6da9d62f9faa88107f4a866bc9e2335e54afd7905c590e",
+    (6, 6, True): "fb0423c58a3d887f9075fc947dda8dc779d0791f85c8a198ff48894aca5340b0",
+    (7, 2, False): "72b548aea8883ff15d61c2d636121054bc3d36b602909b37e38666c2949b0e71",
+    (7, 2, True): "af7e5934eb71c869d3604d02bc9840b34bcb34110517e472ce31573e943a2395",
+    (7, 7, False): "84e219c603767245a728c15dd36ebd91a787e1b3f33fbcec933ce4f8e93b21a1",
+    (7, 7, True): "6f724900bcd8eab6480beb284bb41084a4e16d34486378bc25834383ea8eb557",
+}
+
+# Pigeonhole 3 into 2 (variable 2*(i-1)+j: pigeon i in hole j), which is
+# unsatisfiable, plus the unit 7 and one clause of width 8 over all variables.
+MIXED_WIDTH_DIMACS = (
+    "p cnf 8 11\n1 2 0\n3 4 0\n5 6 0\n-1 -3 0\n-1 -5 0\n-3 -5 0\n-2 -4 0\n-2 -6 0\n"
+    "-4 -6 0\n7 0\n1 2 3 4 5 6 -7 8 0\n"
+)
 
 
 def test_encode_sizes():
@@ -41,14 +64,14 @@ def test_encode_sizes():
 
 def test_encode_n1_clauses():
     inst = encode(1)
-    assert inst.clauses == ((1, 2, 3), (-1, -2, -3))
+    assert inst.clauses.tolist() == [[1, 2, 3], [-1, -2, -3]]
 
 
 def test_encode_clause_pairs_per_line():
     # each line contributes a not-all-zero and a not-all-one clause
     inst = encode(2)
-    pos = [c for c in inst.clauses if all(l > 0 for l in c)]
-    neg = [c for c in inst.clauses if all(l < 0 for l in c)]
+    pos = [c for c in inst.clause_tuples() if all(l > 0 for l in c)]
+    neg = [c for c in inst.clause_tuples() if all(l < 0 for l in c)]
     assert len(pos) == len(neg) == 7
     for p, q in zip(pos, neg):
         assert q == tuple(-l for l in p)
@@ -58,7 +81,7 @@ def test_sym_break_adds_unit_clause():
     plain = encode(2)
     broken = encode(2, sym_break=True)
     assert len(broken.clauses) == len(plain.clauses) + 1
-    assert (-1,) in broken.clauses
+    assert (-1,) in broken.clause_tuples()
 
 
 def test_encode_m2_counts():
@@ -90,8 +113,17 @@ def test_encode_matches_enumeration_reference():
             for sym_break in (False, True):
                 clauses, text = _encode_reference(n, m, sym_break)
                 inst = encode(n, m, sym_break)
-                assert inst == CnfInstance(3**n, clauses, family=(n, m, sym_break))
+                assert (inst.n_vars, inst.family) == (3**n, (n, m, sym_break))
+                assert inst.clause_tuples() == list(clauses)
                 assert write_dimacs(inst) == text
+
+
+def test_dimacs_bytes_are_pinned():
+    for (n, m, sym_break), digest in GOLDEN_DIMACS_SHA256.items():
+        inst = encode(n, m, sym_break)
+        text = write_dimacs(inst)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, (n, m, sym_break)
+        assert parse_dimacs(text) == inst
 
 
 def test_clause_pairs_follow_member_table_rows():
@@ -101,8 +133,8 @@ def test_clause_pairs_follow_member_table_rows():
             rows = (m_interval_line_members(n, m) + 1).tolist()
             clauses = encode(n, m).clauses
             assert len(clauses) == 2 * len(rows)
-            assert [list(c) for c in clauses[::2]] == rows
-            assert [[-v for v in c] for c in clauses[1::2]] == rows
+            assert clauses[::2].tolist() == rows
+            assert (-clauses[1::2]).tolist() == rows
 
 
 def test_dimacs_header_names_the_encoded_family():
@@ -131,7 +163,7 @@ def test_parse_dimacs_requires_the_family_encoding(two_cube_unsat_cnf):
     with pytest.raises(ValueError, match="not the encoding of n=2 m=1 sym_break=0"):
         parse_dimacs(two_cube_unsat_cnf)
     clauses = encode(2).clauses
-    for wrong in (clauses[::-1], clauses[:-2] + ((1, 2, 4), (-1, -2, -4))):
+    for wrong in (clauses[::-1], np.vstack((clauses[:-2], ((1, 2, 4), (-1, -2, -4))))):
         text = write_dimacs(CnfInstance(9, wrong, family=(2, 1, False)))
         with pytest.raises(ValueError, match="not the encoding of n=2 m=1 sym_break=0"):
             parse_dimacs(text)
@@ -143,6 +175,26 @@ def test_parse_dimacs_refuses_huge_n_by_its_size():
     with pytest.raises(ValueError) as err:
         parse_dimacs("p cnf 9 0\nc hjinterval n=1000000 m=1 sym_break=0\n")
     assert str(err.value) == "hjinterval header says n=1000000, but the file has 9 variables"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "p cnf 3 1\nc hjinterval n=" + "1" * 5000 + " m=1 sym_break=0\n1 0\n",
+            "bad hjinterval header 'c hjinterval n=111",
+        ),
+        ("p cnf " + "1" * 5000 + " 0\n", "bad DIMACS header 'p cnf 111"),
+        ("p cnf 3 " + "1" * 5000 + "\n", "bad DIMACS header 'p cnf 3 111"),
+        ("p cnf -3 0\n", "bad DIMACS header 'p cnf -3 0'"),
+        ("p cnf \u00b3 0\n", "bad DIMACS header 'p cnf \u00b3 0'"),
+    ],
+)
+def test_parse_dimacs_refuses_header_numbers_before_int(text, message):
+    # int() would refuse these itself, with a message naming no header, or read -3
+    with pytest.raises(ValueError) as err:
+        parse_dimacs(text)
+    assert str(err.value).startswith(message)
 
 
 def test_encode_rejects_bad_args():
@@ -158,10 +210,12 @@ def test_row_walk_names_the_line_at_each_row():
     for n in range(1, 6):
         for m in range(1, n + 1):
             lines = [line_at_row(n, k, m) for k in range(len(m_interval_line_members(n, m)))]
-            pairs = list(m_interval_rows(n, m, lambda p, v: (p, v)))
+            blocks = m_interval_blocks(n, m, lambda p, v: (p, v))
+            pairs = [(active, pins) for active, rows in blocks for pins in rows]
             assert pairs == [(line.active, line.fixed) for line in lines]
-            names = [_line_name(active, pins) for active, pins in m_interval_rows(n, m, _pin_text)]
-            assert names == [_line_name(l.active, starmap(_pin_text, l.fixed)) for l in lines]
+            blocks = m_interval_blocks(n, m, _pin_text)
+            names = [name for active, rows in blocks for name in _line_names(active, rows)]
+            assert names == [_line_names(l.active, [starmap(_pin_text, l.fixed)])[0] for l in lines]
 
 
 def test_dimacs_output_is_stable():
@@ -188,7 +242,7 @@ def test_dimacs_comments_carry_line_provenance():
     assert "c line 1..1 fixed=2:1" in text
     assert "c line 1..2 fixed=-" in text
     # line names come from the family, and only when the clauses can be its encoding
-    assert write_dimacs(CnfInstance(2, ((1, -2), (2,)))) == "p cnf 2 2\n1 -2 0\n2 0\n"
+    assert write_dimacs(CnfInstance(2, ((1, -2), (2, 0)))) == "p cnf 2 2\n1 -2 0\n2 0\n"
     short = CnfInstance(9, encode(2).clauses[:-1], family=(2, 1, False))
     assert "c line" not in write_dimacs(short)
     assert write_dimacs(short).splitlines()[1] == "c hjinterval n=2 m=1 sym_break=0"
@@ -201,6 +255,9 @@ def test_parse_dimacs_rejects_malformed():
         "p cnf 3 2\n1 2 3 0\n",  # clause count mismatch
         "p cnf 2 1\n1 3 0\n",  # variable out of range
         "p cnf 3 1\n1 2 3\n",  # missing terminator
+        "p cnf 3 1\n99999999999999999999 0\n",  # beyond int64
+        "p cnf 3000000000 0\n",  # more variables than int32 literals hold
+        "p cnf 9000 9000\n" + "1 0\n" * 8999 + "1 " * 8000 + "0\n",  # 9000 x 8000 padded cells
     ):
         with pytest.raises(ValueError):
             parse_dimacs(bad)
@@ -211,7 +268,27 @@ def test_write_dimacs_file_roundtrip(tmp_path):
     path = tmp_path / "n2.cnf"
     write_dimacs_file(inst, str(path))
     assert path.read_text() == write_dimacs(inst)
-    assert parse_dimacs(path.read_text()).clauses == inst.clauses
+    assert np.array_equal(parse_dimacs(path.read_text()).clauses, inst.clauses)
+
+
+def test_mixed_width_dimacs_roundtrip():
+    inst = parse_dimacs(MIXED_WIDTH_DIMACS)
+    assert inst.clauses.shape == (11, 8)
+    assert [len(c) for c in inst.clause_tuples()] == [2] * 9 + [1, 8]
+    assert write_dimacs(inst) == MIXED_WIDTH_DIMACS
+    assert parse_dimacs(write_dimacs(inst)) == inst
+    out = solve_builtin(inst)
+    assert out.status == solve_builtin(parse_dimacs(write_dimacs(inst))).status == "unsat"
+    assert check_proof(inst.clause_tuples(), out.proof) is None
+
+
+def test_model_entries_are_python_ints():
+    # callers serialise models, and json refuses numpy integers
+    for inst in (encode(3), parse_dimacs(write_dimacs(encode(3, m=2, sym_break=True)))):
+        out = solve_builtin(inst)
+        assert out.status == "sat"
+        assert all(type(lit) is int for lit in out.model)
+        assert json.loads(json.dumps(list(out.model))) == list(out.model)
 
 
 def test_solve_builtin_sat_small():
@@ -244,7 +321,7 @@ def test_solve_builtin_frozen_frontier(n, m, sym_break, status):
         assert violation_count(decode_model(out.model, n, m)) == 0
     else:
         assert out.proof[-1] == ()
-        assert check_proof(inst.clauses, out.proof) is None
+        assert check_proof(inst.clause_tuples(), out.proof) is None
 
 
 def test_solve_builtin_timeout_gives_unknown():
@@ -256,7 +333,7 @@ def test_solve_builtin_timeout_gives_unknown():
     assert out.model is None
     full = solve_builtin(inst)
     assert full.status == "unsat"
-    assert check_proof(inst.clauses, full.proof) is None
+    assert check_proof(inst.clause_tuples(), full.proof) is None
 
 
 def _brute_force_sat(n_vars, clauses):
@@ -297,6 +374,22 @@ def test_solve_builtin_is_deterministic():
 def test_instance_rejects_empty_clause():
     with pytest.raises(ValueError):
         CnfInstance(n_vars=2, clauses=((),))
+    with pytest.raises(ValueError, match="clause 1 is empty or has a 0 before its last literal"):
+        CnfInstance(n_vars=2, clauses=((1, 2), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((1, 2, 0), (1, 0, 2)), "clause 1 is empty or has a 0 before its last literal"),
+        (((1, 2), (-3, 0)), "literal -3 outside +-1..2"),
+        (((3, 1),), "literal 3 outside +-1..2"),
+        ((1, 2), "need a 2-D clause array and 0..2**31-1 variables, not 2"),
+    ],
+)
+def test_instance_checks_the_clause_array(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CnfInstance(n_vars=2, clauses=rows)
 
 
 def test_solve_builtin_respects_sym_break():
@@ -352,7 +445,7 @@ def test_var_numbering_follows_rank():
     inst = encode(2)
     first_line = next(iter(enumerate_m_interval_lines(2, 1)))
     expected = tuple(rank(p) + 1 for p in first_line.points())
-    assert inst.clauses[0] == expected
+    assert inst.clause_tuples()[0] == expected
 
 
 def test_run_solver_happy_path(tmp_path, toy_solver):

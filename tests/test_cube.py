@@ -299,6 +299,14 @@ def test_coloring_text_refuses_huge_n_by_its_size():
     assert str(err.value) == "expected 3**1000000 colour characters for n=1000000, got 9"
 
 
+@pytest.mark.parametrize("n", ["\u00b2", "\u0663", "1" * 5000])
+def test_coloring_header_refuses_numbers_before_int(n):
+    # int() fails on the superscript and on 5000 digits, and reads the Arabic-Indic 3 as 3
+    with pytest.raises(ValueError) as err:
+        coloring_from_text(f"HJC 3 {n}\n" + "0" * 27 + "\n")
+    assert str(err.value) == f"bad colouring header {'HJC 3 ' + n!r}"
+
+
 def test_coloring_text_error_names_first_bad_character():
     for body, ch, pos in (
         ("01/" + "0" * 6, "/", 2),

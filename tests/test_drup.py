@@ -30,9 +30,9 @@ def test_rejects_a_lemma_that_does_not_follow():
 def test_rejects_a_truncated_proof():
     inst = encode(4, m=4, sym_break=True)
     proof = solve_builtin(inst).proof
-    assert check_proof(inst.clauses, proof) is None
-    assert check_proof(inst.clauses, proof[:-1]) == "the proof does not end with the empty clause"
-    assert check_proof(inst.clauses, ()) == "the proof does not end with the empty clause"
+    assert check_proof(inst.clause_tuples(), proof) is None
+    assert check_proof(inst.clause_tuples(), proof[:-1]) == "the proof does not end with the empty clause"
+    assert check_proof(inst.clause_tuples(), ()) == "the proof does not end with the empty clause"
 
 
 def test_rejects_a_proof_of_a_satisfiable_formula():
@@ -40,7 +40,7 @@ def test_rejects_a_proof_of_a_satisfiable_formula():
     out = solve_builtin(inst)
     assert out.status == "sat"
     # The learnt clauses of a sat run are sound, but the empty clause is not.
-    reason = check_proof(inst.clauses, out.proof + ((),))
+    reason = check_proof(inst.clause_tuples(), out.proof + ((),))
     assert reason is not None and "does not follow" in reason
     assert check_proof([(1, 2)], [()]) is not None
 
@@ -49,8 +49,8 @@ def test_deadline_stops_the_check():
     inst = encode(4, m=4, sym_break=True)
     proof = solve_builtin(inst).proof
     with pytest.raises(TimeoutError, match=f"with 0 of {len(proof)} lemmas checked"):
-        check_proof(inst.clauses, proof, deadline=time.monotonic() - 1)
-    assert check_proof(inst.clauses, proof, deadline=time.monotonic() + 600) is None
+        check_proof(inst.clause_tuples(), proof, deadline=time.monotonic() - 1)
+    assert check_proof(inst.clause_tuples(), proof, deadline=time.monotonic() + 600) is None
 
 
 def test_parse_proof_reads_lemmas_and_skips_comments_and_deletions():
