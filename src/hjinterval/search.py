@@ -6,14 +6,16 @@ completed monochromatic lines and (optionally) on prefixes that can
 never be the least member of their symmetry orbit; the first surviving
 leaf is therefore the lexicographically least avoider overall.  The
 local one is plain steepest descent on the violation count with sideways
-moves and seeded restarts.  Either way, an avoider is re-checked by a
-direct scan before it is reported.
+moves and seeded restarts; it keeps each line's count of ones and each
+cell's flip score up to date, so a flip touches only the lines through
+its cell.  Either way, the reported count is re-checked by a direct scan.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,9 +176,22 @@ def _restart_seed(seed: int, index: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 1) % (1 << 63)
 
 
-def _mono(ones: np.ndarray) -> np.ndarray:
-    """Which lines are monochromatic, from each line's count of colour-1 members."""
-    return (ones == 0) | (ones == 3)
+#: _GAIN[2*o + b]: change in a line's violation when a colour-b member flips, o its ones.
+_GAIN = np.array([-1, 0, 0, 1, 1, 0, 0, -1], dtype=np.int8)
+#: _RESCORE[b][2*o + u]: change in a colour-u member's gain when a colour-b member of its
+#: line flips (o ones before); the wrapped entries belong to (o, b) pairs that cannot occur.
+_RESCORE = np.stack((np.roll(_GAIN, -2) - _GAIN, np.roll(_GAIN, 2) - _GAIN))
+
+
+@lru_cache(maxsize=8)
+def _incidence(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Per cell c, slices start[c]:start[c + 1] of its rows of :func:`interval_line_members`
+    (ascending) and of the two other members of each row."""
+    members = interval_line_members(n)
+    lines, pos = np.divmod(np.argsort(members.ravel(), kind="stable").astype(np.int32), 3)
+    others = members[lines[:, None], (pos[:, None] + (1, 2)) % 3].astype(np.int32)
+    lines.flags.writeable = others.flags.writeable = False
+    return [0, *np.bincount(members.ravel(), minlength=3**n).cumsum().tolist()], lines, others
 
 
 def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
@@ -184,30 +199,28 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
 
     Returns (best violation count, best bits, flips used).  Sideways
     moves are taken when no flip improves; a long sideways drift or a
-    strict local minimum ends the restart early.
+    strict local minimum ends the restart early.  Line counts and flip
+    scores are counted once; a flip then moves the counts of the lines
+    through its cell and rescores only their other members.
     """
     rng = np.random.default_rng(restart_seed)
     size = 3**n
-    # One row per position on a line, so a line's count of ones is two elementwise adds.
-    members = np.ascontiguousarray(interval_line_members(n).T)
+    members = interval_line_members(n)
+    start, cell_lines, cell_others = _incidence(n)
     bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-    best = members.shape[1] + 1
+    cols = bits[members]
+    twice = 2 * cols.sum(1, dtype=np.int8)  # twice each line's count of ones
+    violations = int(np.count_nonzero((twice == 0) | (twice == 6)))
+    delta = np.bincount(members.ravel(), _GAIN[twice[:, None] + cols].ravel(), size)
+    delta = delta.astype(np.int32)  # delta[c]: the change in violations if cell c flips
+    best = members.shape[0] + 1
     flips = 0
     sideways = 0
     while True:
-        # Recounted from the table on every flip: at these sizes that costs less
-        # than keeping per-line counts up to date.
-        cols = bits[members].view(np.int8)
-        ones = cols.sum(0, dtype=np.int8)
-        mono_now = _mono(ones)
-        violations = int(mono_now.sum())
         if violations < best:
             best, best_bits = violations, bits.copy()
         if violations == 0 or flips == max_flips:
             break
-        # Flipping a member moves its line's count by +1 from colour 0 and by -1 from 1.
-        gain = _mono(ones + 1 - 2 * cols).view(np.int8) - mono_now
-        delta = np.bincount(members.ravel(), gain.ravel(), size)
         lowest = delta.min()
         if lowest > 0:
             break
@@ -220,7 +233,15 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
         else:
             sideways = 0
             cell = candidates[0]
-        bits[cell] ^= 1
+        lo, hi = start[cell], start[cell + 1]
+        lines, others = cell_lines[lo:hi], cell_others[lo:hi]
+        b = int(bits[cell])
+        bits[cell] = 1 - b
+        old = twice[lines]
+        twice[lines] = old + (2 - 4 * b)
+        delta[others] += _RESCORE[b][old[:, None] + bits[others]]
+        delta[cell] = -lowest  # flipping it back would undo the move
+        violations += int(lowest)
         flips += 1
     return best, best_bits, flips
 
@@ -266,8 +287,8 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
         "wall_time_s": time.perf_counter() - t0,
     }
     coloring = Coloring(n, best_bits)
-    if best == 0 and violation_count(coloring) != 0:
-        raise RuntimeError("internal error: local search reported a non-avoider")
+    if violation_count(coloring) != best:
+        raise RuntimeError(f"internal error: local search miscounted {best} violations")
     return SearchReport(
         "local", n, OUTCOME_FOUND if best == 0 else OUTCOME_INCONCLUSIVE, coloring=coloring,
         violations=best, seed=seed, budget=budget, stats=stats,

@@ -436,6 +436,30 @@ def test_module_entry_point(tmp_path, child_env):
     assert "coloring=001" in proc.stdout
 
 
+@pytest.mark.parametrize("n, message", [(30, "Unable to allocate"), (40, "")])
+@pytest.mark.parametrize("verb", [["search", "--mode", "local"], ["gen", "--kind", "random"]])
+def test_cube_too_large_to_allocate_is_an_input_error(tmp_path, child_env, verb, n, message):
+    # numpy refuses these arrays at once (n=30 asks for at least 187 TiB, n=40 exceeds
+    # its largest dimension); the address-space cap keeps the child small regardless.
+    wrapper = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from hjinterval.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, *verb, "--n", str(n), "--out", "big.hjc"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_declared(tmp_path, child_env):
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:

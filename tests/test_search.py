@@ -2,14 +2,17 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from hjinterval.cube import Coloring, Word, apply_symmetry, all_symmetries
+from hjinterval.cube import Coloring, Word, apply_symmetry, all_symmetries, interval_line_members
 from hjinterval.search import (
     EXHAUSTIVE_CAP,
     OUTCOME_FOUND,
     OUTCOME_INCONCLUSIVE,
     SearchReport,
+    _incidence,
+    _one_restart,
     exhaustive_search,
     local_search,
     render_search_report,
@@ -185,6 +188,74 @@ def test_local_search_jobs_invariant():
         b = local_search(n, seed=seed, budget=budget, jobs=2)
         assert a.semantic_fields() == b.semantic_fields()
     assert a.outcome == OUTCOME_INCONCLUSIVE and a.stats["restarts"] == 3
+
+
+def full_recount_restart(n, restart_seed, max_flips):
+    """Reference for ``_one_restart``: the same descent, recounting every line and
+    rescoring every flip on each step; it also returns the rule that stopped it."""
+    rng = np.random.default_rng(restart_seed)
+    size = 3**n
+    members = np.ascontiguousarray(interval_line_members(n).T)
+    bits = rng.integers(0, 2, size=size, dtype=np.uint8)
+    best = members.shape[1] + 1
+    flips = 0
+    sideways = 0
+
+    def mono(ones):
+        return (ones == 0) | (ones == 3)
+
+    while True:
+        cols = bits[members].view(np.int8)
+        ones = cols.sum(0, dtype=np.int8)
+        mono_now = mono(ones)
+        violations = int(mono_now.sum())
+        if violations < best:
+            best, best_bits = violations, bits.copy()
+        if violations == 0:
+            return best, best_bits, flips, "avoider"
+        if flips == max_flips:
+            return best, best_bits, flips, "budget"
+        gain = mono(ones + 1 - 2 * cols).view(np.int8) - mono_now
+        delta = np.bincount(members.ravel(), gain.ravel(), size)
+        lowest = delta.min()
+        if lowest > 0:
+            return best, best_bits, flips, "strict-minimum"
+        candidates = np.flatnonzero(delta == lowest)
+        if lowest == 0:
+            sideways += 1
+            if sideways > 2 * size:
+                return best, best_bits, flips, "sideways"
+            cell = candidates[rng.integers(0, candidates.size)]
+        else:
+            sideways = 0
+            cell = candidates[0]
+        bits[cell] ^= 1
+        flips += 1
+
+
+def test_incremental_restart_matches_full_recount():
+    # No seed tried (n <= 4, thousands of seeds) stopped at a strict minimum.
+    stops = set()
+    for n, max_flips in ((1, 300), (2, 300), (3, 810), (4, 2430), (5, 7290), (6, 2187)):
+        for seed in range(4):
+            best, bits, flips, stop = full_recount_restart(n, seed, max_flips)
+            got_best, got_bits, got_flips = _one_restart(n, seed, max_flips)
+            assert (got_best, got_flips) == (best, flips)
+            assert np.array_equal(got_bits, bits)
+            stops.add(stop)
+    assert {"avoider", "budget", "sideways"} <= stops
+
+
+def test_incidence_lists_each_cells_lines_and_their_other_members():
+    for n in range(1, 6):
+        members = interval_line_members(n)
+        start, lines, others = _incidence(n)
+        assert start[0] == 0 and start[-1] == members.size and len(start) == 3**n + 1
+        for cell in range(3**n):
+            rows = np.flatnonzero((members == cell).any(axis=1))
+            assert lines[start[cell]:start[cell + 1]].tolist() == rows.tolist()
+            expected = [sorted(set(members[row].tolist()) - {cell}) for row in rows]
+            assert np.sort(others[start[cell]:start[cell + 1]], axis=1).tolist() == expected
 
 
 def test_local_search_gives_up_honestly():
