@@ -6,7 +6,7 @@
 # tower of hypergraph Ramsey numbers, one level per seed pattern.  Only
 # upper bounds are computable; the library never pretends otherwise.
 
-from hjinterval import BoundExpr, hj_value, plus_one, ramsey_upper, tower
+from hjinterval import BoundExpr, plus_one, ramsey_upper, tower
 
 # -- the computable floor ----------------------------------------------------
 # t = 1 is pigeonhole, t = 2 the binomial bound from the neighbourhood
@@ -44,7 +44,3 @@ print()
 
 sym = ramsey_upper(3, 20, 20, cap_digits=50)
 print("compose:", plus_one(ramsey_upper(4, sym, BoundExpr.exact(10))).render())
-
-# The two-letter cube is the one place an exact threshold is known:
-
-print("two-letter cube, 9 colours:", hj_value(2, 9))

@@ -39,13 +39,13 @@ print()
 
 quad = Quadruple(9, (2, 4, 5, 7))
 words = gadget_words(quad)
-for name, word in words.as_dict().items():
+for name, word in words.items():
     print(f"{name} = {word}   contracts to {contract(word)}")
 print()
 
-for g in gadget_lines(quad):
-    members = ", ".join(str(m) for m in g.members)
-    print(f"L{g.index}: active {g.line.lo}..{g.line.hi}   {{{members}}}")
+for idx, line in enumerate(gadget_lines(quad), start=1):
+    members = ", ".join(str(m) for m in line.points())
+    print(f"L{idx}: active {line.lo}..{line.hi}   {{{members}}}")
 print()
 
 # -- the case analysis -------------------------------------------------------

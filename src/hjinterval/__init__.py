@@ -7,7 +7,7 @@ homogeneous enough, plus the searches, SAT encodings and Ramsey bound
 towers that probe where such lines become unavoidable.
 """
 
-from .bounds import BoundExpr, hj_value, plus_one, ramsey_upper, tower
+from .bounds import BoundExpr, plus_one, ramsey_upper, tower
 from .cnf import (
     CnfInstance,
     EncoderBugError,
@@ -41,8 +41,6 @@ from .cube import (
 from .gadgets import (
     SEED_LENGTHS,
     SEED_PATTERNS,
-    GadgetLine,
-    GadgetWords,
     HomogeneityError,
     HomogeneousChain,
     LineCertificate,

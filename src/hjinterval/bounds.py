@@ -215,16 +215,3 @@ def tower(cap_digits: int = DEFAULT_CAP_DIGITS) -> list[tuple[str, BoundExpr]]:
         rows.append((f"n{i}", cur))
     rows.append(("n", plus_one(cur, cap_digits)))
     return rows
-
-
-def hj_value(alphabet: int, colors: int) -> int:
-    """Tabulated exact line-avoidance thresholds.
-
-    Only the two-letter identity is known and used here: with alphabet
-    size 2 and r colours the answer is r exactly.
-    """
-    if alphabet == 2:
-        if colors < 1:
-            raise ValueError("need at least one colour")
-        return colors
-    raise ValueError(f"no tabulated value for alphabet size {alphabet}")

@@ -56,6 +56,16 @@ def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def dimension(text: str) -> int:
+    """An --n whose 3**n cells numpy can index: 3**39 < 2**63 - 1 < 3**40."""
+    n = int(text)
+    if not 1 <= n <= 39:
+        raise argparse.ArgumentTypeError(
+            f"n={n} is outside 1..39: the cube's 3**n cells must number at most 2**63 - 1"
+        )
+    return n
+
+
 def _parse_color_vector(text: str) -> tuple[int, ...]:
     if len(text) != 5 or any(ch not in "01" for ch in text):
         raise ValueError(f"need five bits like 01100, got {text!r}")
@@ -64,8 +74,6 @@ def _parse_color_vector(text: str) -> tuple[int, ...]:
 
 def cmd_verify_gadgets(args: argparse.Namespace) -> int:
     n = args.n
-    if args.quadruple is not None and args.exhaustive_quadruples:
-        raise ValueError("--quadruple and --exhaustive-quadruples are mutually exclusive")
     if args.exhaustive_quadruples:
         quads = [Quadruple(n, c) for c in itertools.combinations(range(1, n), 4)]
         if not quads:
@@ -81,11 +89,9 @@ def cmd_verify_gadgets(args: argparse.Namespace) -> int:
         lines = gadget_lines(quad)
         checked += len(lines)
         if len(quads) == 1:
-            for cand in lines:
-                members = ",".join(str(w) for w in cand.members)
-                print(
-                    f"line {cand.index} active={cand.line.lo}..{cand.line.hi} members={members}"
-                )
+            for idx, line in enumerate(lines, start=1):
+                members = ",".join(str(w) for w in line.points())
+                print(f"line {idx} active={line.lo}..{line.hi} members={members}")
     print(f"n={n}")
     print(f"quadruples-checked={len(quads)}")
     print(f"lines-validated={checked}")
@@ -236,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-gadgets", help="validate the five-line construction and its case table")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--quadruple", help="four cuts a1,a2,a3,a4 (default 1,2,3,4)")
-    p.add_argument("--exhaustive-quadruples", action="store_true")
+    cuts = p.add_mutually_exclusive_group()
+    cuts.add_argument("--quadruple", help="four cuts a1,a2,a3,a4 (default 1,2,3,4)")
+    cuts.add_argument("--exhaustive-quadruples", action="store_true")
     p.set_defaults(func=cmd_verify_gadgets)
 
     p = sub.add_parser("find-line", help="look for a monochromatic interval line in a colouring file")
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find_line)
 
     p = sub.add_parser("search", help="search for an avoider of all interval lines")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=dimension, required=True)
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000)
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("encode", help="write the avoider question as a DIMACS CNF file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=dimension, required=True)
     p.add_argument("--max-intervals", type=int, default=1)
     p.add_argument("--sym-break", action="store_true")
     p.add_argument("--out", required=True)
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("gen", help="generate a colouring file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=dimension, required=True)
     p.add_argument("--kind", choices=("pattern", "random", "constant"), required=True)
     p.add_argument("--d", help="five pattern colours like 01100 (pattern kind)")
     p.add_argument("--seed", type=int, default=0)

@@ -37,6 +37,8 @@ class Word:
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
+        if not text.isascii():  # int() reads the digits of other scripts too
+            raise ValueError(f"bad word text {text!r}")
         try:
             return cls(tuple(int(ch) for ch in text))
         except ValueError as exc:
@@ -120,8 +122,10 @@ class Line:
         """The line's point with moving letter v."""
         if v not in (1, 2, 3):
             raise ValueError(f"moving letter {v} outside alphabet")
-        fixed = dict(self.fixed)
-        return Word(tuple(fixed.get(i, v) for i in range(1, self.n + 1)))
+        letters = [v] * self.n
+        for p, x in self.fixed:
+            letters[p - 1] = x
+        return Word(tuple(letters))
 
     def points(self) -> tuple[Word, Word, Word]:
         return (self.word_at(1), self.word_at(2), self.word_at(3))
@@ -323,9 +327,6 @@ class Coloring:
             raise ValueError(f"word length {word.n} does not match colouring n={self.n}")
         return int(self._bits[rank(word)])
 
-    def color_of_rank(self, index: int) -> int:
-        return int(self._bits[index])
-
     @property
     def bitstring(self) -> str:
         return (self._bits + ord("0")).tobytes().decode("ascii")
@@ -364,8 +365,7 @@ class Symmetry:
     """One element of the 24-element group: letter permutation x reversal x colour swap.
 
     ``letter_perm[v - 1]`` is the image of letter v.  The letter action
-    and the position action touch different structure, so composition
-    works componentwise.
+    and the position action touch different structure, so they commute.
     """
 
     letter_perm: tuple[int, int, int] = (1, 2, 3)
@@ -385,16 +385,6 @@ class Symmetry:
         for v, img in enumerate(self.letter_perm, start=1):
             inv[img - 1] = v
         return Symmetry(tuple(inv), self.reverse, self.swap_colors)
-
-    def compose(self, other: "Symmetry") -> "Symmetry":
-        """The element acting as self after other."""
-        perm = tuple(self.letter_perm[v - 1] for v in other.letter_perm)
-        return Symmetry(perm, self.reverse ^ other.reverse, self.swap_colors ^ other.swap_colors)
-
-
-IDENTITY = Symmetry()
-REVERSAL = Symmetry(reverse=True)
-COLOR_SWAP = Symmetry(swap_colors=True)
 
 
 def all_symmetries() -> tuple[Symmetry, ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .cube import (
     Word,
     interval_line,
     interval_line_members,
+    is_count,
     is_monochromatic,
     line_at_row,
     mono_mask,
@@ -79,16 +80,15 @@ def bracket_word(block_letters: Sequence[int], quad: Quadruple) -> Word:
 
     Block j covers coordinates a(j-1)+1 .. a(j) (with a0 = 0 and a5 = n)
     and carries block_letters[j-1].  Adjacent blocks may repeat a letter,
-    in which case the word's contraction is shorter than five.
+    so the word realizes the contraction of the block letters with a
+    breakpoint at each cut between two different letters.
     """
     b = tuple(block_letters)
     if len(b) != 5:
         raise ValueError("need exactly five block letters")
-    bounds = (0,) + quad.cuts + (quad.n,)
-    letters = []
-    for j in range(5):
-        letters.extend([b[j]] * (bounds[j + 1] - bounds[j]))
-    return Word(tuple(letters))
+    steps = [j for j in range(4) if b[j] != b[j + 1]]
+    pattern = Pattern((b[0],) + tuple(b[j + 1] for j in steps))
+    return realize(pattern, [quad.cuts[j] for j in steps], quad.n)
 
 
 _WORD_BLOCKS: dict[str, tuple[int, int, int, int, int]] = {
@@ -126,47 +126,20 @@ _COLOR_SET_PATTERNS: tuple[tuple[int, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GadgetWords:
-    """The nine bracket words of the construction over one quadruple."""
-
-    w1: Word
-    w2: Word
-    w3: Word
-    w4: Word
-    w5: Word
-    v1: Word
-    v2: Word
-    v3: Word
-    u1: Word
-
-    def as_dict(self) -> dict[str, Word]:
-        return {name: getattr(self, name) for name in _WORD_BLOCKS}
+def gadget_words(quad: Quadruple) -> dict[str, Word]:
+    """The nine bracket words over the given cuts, by name (w1..w5, v1..v3, u1)."""
+    return {name: bracket_word(blocks, quad) for name, blocks in _WORD_BLOCKS.items()}
 
 
-def gadget_words(quad: Quadruple) -> GadgetWords:
-    """Build the nine bracket words over the given cuts."""
-    return GadgetWords(**{name: bracket_word(blocks, quad) for name, blocks in _WORD_BLOCKS.items()})
+def gadget_lines(quad: Quadruple) -> tuple[Line, ...]:
+    """The five candidate interval lines over the given cuts; line i is entry i-1.
 
-
-@dataclass(frozen=True)
-class GadgetLine:
-    """Candidate line i of the construction, with its three member words."""
-
-    index: int
-    line: Line
-    members: tuple[Word, Word, Word]
-
-
-def gadget_lines(quad: Quadruple) -> tuple[GadgetLine, ...]:
-    """The five candidate interval lines over the given cuts.
-
-    Every returned triple is re-checked to be exactly the point set of
-    its stated line, members ordered by moving letter.  A failure here
-    would falsify the construction itself, so it aborts loudly instead
-    of returning partial output.
+    Each line's points are re-checked to be exactly its three named
+    bracket words, ordered by moving letter.  A failure here would
+    falsify the construction itself, so it aborts loudly instead of
+    returning partial output.
     """
-    words = gadget_words(quad).as_dict()
+    words = gadget_words(quad)
     out = []
     for idx, (names, span_lo, span_hi) in enumerate(_LINE_SPECS, start=1):
         members = tuple(words[name] for name in names)
@@ -179,7 +152,7 @@ def gadget_lines(quad: Quadruple) -> tuple[GadgetLine, ...]:
                 f"construction broken: candidate line {idx} over cuts {quad.cuts} "
                 f"does not match its member words"
             )
-        out.append(GadgetLine(idx, line, members))
+        out.append(line)
     return tuple(out)
 
 
@@ -250,10 +223,7 @@ def induced_coloring(
 
 
 def ramsey_refine(
-    ground: Iterable[int],
-    subset_coloring: Mapping[tuple[int, ...], int] | Callable[[tuple[int, ...]], int],
-    t: int,
-    target: int,
+    ground: Iterable[int], subset_coloring: Mapping[tuple[int, ...], int], t: int, target: int
 ) -> tuple[tuple[int, ...], int] | None:
     """Search for a target-size subset all of whose t-subsets share a colour.
 
@@ -271,16 +241,12 @@ def ramsey_refine(
         raise ValueError(f"target {target} below subset size {t}")
     if target > len(elems):
         return None
-    if callable(subset_coloring):
-        colour_of = subset_coloring
-    else:
-        mapping = subset_coloring
 
-        def colour_of(key: tuple[int, ...]) -> int:
-            try:
-                return mapping[key]
-            except KeyError as exc:
-                raise ValueError(f"subset colouring missing {key}") from exc
+    def colour_of(key: tuple[int, ...]) -> int:
+        try:
+            return subset_coloring[key]
+        except KeyError as exc:
+            raise ValueError(f"subset colouring missing {key}") from exc
 
     def grow(start: int, chosen: list[int], colour: int | None):
         if len(chosen) == target:
@@ -307,15 +273,8 @@ def ramsey_refine(
                 return hit
         return None
 
-    found = grow(0, [], None)
-    if found is None:
-        return None
-    subset, colour = found
-    if colour is None:
-        # target == t - 1 is impossible here (target >= t), so a full
-        # subset always fixed its colour; keep the guard for clarity.
-        raise RuntimeError("homogeneous subset without a colour")
-    return subset, colour
+    # A full subset holds at least one t-subset (target >= t), so its colour is set.
+    return grow(0, [], None)
 
 
 @dataclass(frozen=True)
@@ -349,29 +308,26 @@ class HomogeneityError(ValueError):
 
 @dataclass(frozen=True)
 class LineCertificate:
-    """A monochromatic interval line, carrying its own evidence."""
+    """The claim that an interval line is monochromatic in one colour."""
 
     line: Line
     color: int
-    members: tuple[Word, Word, Word]
 
     def __post_init__(self) -> None:
         if self.color not in (0, 1):
             raise ValueError("certificate colour must be 0 or 1")
         if self.line.active != tuple(range(self.line.lo, self.line.hi + 1)):
             raise ValueError(f"active set {self.line.active} is not one interval")
-        if self.members != self.line.points():
-            raise ValueError("certificate members do not match the line's points")
 
     def verify(self, coloring: Coloring) -> bool:
         """Re-check the claim directly against a colouring."""
         if coloring.n != self.line.n:
             return False
-        return all(coloring.get(w) == self.color for w in self.members)
+        return is_monochromatic(coloring, self.line) and coloring.get(self.line.word_at(1)) == self.color
 
 
 def _certified(coloring: Coloring, line: Line) -> LineCertificate:
-    cert = LineCertificate(line, coloring.get(line.word_at(1)), line.points())
+    cert = LineCertificate(line, coloring.get(line.word_at(1)))
     if not cert.verify(coloring):
         raise RuntimeError(f"internal error: line {line} reported monochromatic but is not")
     return cert
@@ -384,7 +340,7 @@ def render_certificate(cert: LineCertificate | None, method: str = "direct") -> 
     line = cert.line
     fixed = ",".join(f"{p}:{v}" for p, v in line.fixed)
     head = f"MONO-LINE n={line.n} color={cert.color} active={line.lo}..{line.hi} fixed={fixed}"
-    rows = [head] + [f"W{i} {w}" for i, w in enumerate(cert.members, start=1)]
+    rows = [head] + [f"W{i} {w}" for i, w in enumerate(line.points(), start=1)]
     return "\n".join(rows) + "\n"
 
 
@@ -408,17 +364,14 @@ def parse_certificate(text: str) -> LineCertificate | None:
             raise ValueError(f"bad certificate field {tok!r}")
         kv[key] = val
     try:
-        n = int(kv["n"])
-        color = int(kv["color"])
         lo_s, _, hi_s = kv["active"].partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        fixed = {}
-        if kv["fixed"]:
-            for pair in kv["fixed"].split(","):
-                p_s, _, v_s = pair.partition(":")
-                fixed[int(p_s)] = int(v_s)
-    except (KeyError, ValueError) as exc:
+        pairs = [pair.partition(":")[::2] for pair in kv["fixed"].split(",")] if kv["fixed"] else []
+        numbers = [kv["n"], kv["color"], lo_s, hi_s, *itertools.chain.from_iterable(pairs)]
+    except KeyError as exc:
         raise ValueError(f"bad certificate header {rows[0]!r}") from exc
+    if not all(map(is_count, numbers)):
+        raise ValueError(f"bad certificate header {rows[0]!r}")
+    n, color, lo, hi, *fixed = map(int, numbers)
     if len(rows) != 4:
         raise ValueError("certificate needs exactly three member rows")
     members = []
@@ -427,7 +380,13 @@ def parse_certificate(text: str) -> LineCertificate | None:
         if tag != f"W{i}":
             raise ValueError(f"bad member row {row!r}")
         members.append(Word.from_text(wtext))
-    return LineCertificate(interval_line(n, lo, hi, fixed), color, tuple(members))
+    # The rows bound n, so the line below is no larger than the text.
+    if any(w.n != n for w in members):
+        raise ValueError(f"certificate header n={n} does not match the length of its member rows")
+    line = interval_line(n, lo, hi, dict(zip(fixed[::2], fixed[1::2])))
+    if line.points() != tuple(members):
+        raise ValueError("certificate members do not match the line's points")
+    return LineCertificate(line, color)
 
 
 # --- line extraction ---------------------------------------------------------
@@ -454,22 +413,19 @@ def extract_line(coloring: Coloring, chain: HomogeneousChain) -> LineCertificate
             )
     quad = Quadruple(coloring.n, tuple(sorted(chain.sets[0]))[:4])
     idx = first_singleton_index(chain.colors)
-    candidate = gadget_lines(quad)[idx - 1]
-    return _certified(coloring, candidate.line)
+    return _certified(coloring, gadget_lines(quad)[idx - 1])
 
 
-def find_homogeneous_chain(coloring: Coloring, target: int = MIN_GROUND_SIZE) -> HomogeneousChain | None:
+def find_homogeneous_chain(coloring: Coloring) -> HomogeneousChain | None:
     """Refine 1..n-1 level by level until every seed pattern is homogeneous.
 
     Works from the longest seed pattern down to the shortest, shrinking
-    the ground set to ``target`` elements at each level with
+    the ground set to :data:`MIN_GROUND_SIZE` elements at each level with
     :func:`ramsey_refine`.  At desk scale the refinement often simply
     fails; that is reported as None, not an error.
     """
-    if target < MIN_GROUND_SIZE:
-        raise ValueError(f"target below minimum ground size {MIN_GROUND_SIZE}")
     n = coloring.n
-    if n - 1 < target:
+    if n - 1 < MIN_GROUND_SIZE:
         return None
     sets: list[tuple[int, ...] | None] = [None] * 6
     colors: list[int | None] = [None] * 5
@@ -477,7 +433,7 @@ def find_homogeneous_chain(coloring: Coloring, target: int = MIN_GROUND_SIZE) ->
     for i in range(5, 0, -1):
         size = SEED_LENGTHS[i - 1] - 1
         level = induced_coloring(coloring, i, sets[i])
-        hit = ramsey_refine(sets[i], level, size, max(target, size))
+        hit = ramsey_refine(sets[i], level, size, max(MIN_GROUND_SIZE, size))
         if hit is None:
             return None
         sets[i - 1], colors[i - 1] = hit
@@ -506,9 +462,9 @@ def find_interval_line(
         return _certified(coloring, line_at_row(n, int(hits[0])))
     if method == "gadget":
         for cuts in itertools.combinations(range(1, n), 4):
-            for cand in gadget_lines(Quadruple(n, cuts)):
-                if is_monochromatic(coloring, cand.line):
-                    return _certified(coloring, cand.line)
+            for line in gadget_lines(Quadruple(n, cuts)):
+                if is_monochromatic(coloring, line):
+                    return _certified(coloring, line)
         return None
     if method == "pipeline":
         chain = find_homogeneous_chain(coloring)

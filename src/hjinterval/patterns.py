@@ -89,12 +89,12 @@ def realize(pattern: Pattern, points: BreakpointSet | Iterable[int], n: int) -> 
         raise ValueError(
             f"pattern of length {len(pattern)} needs {len(pattern) - 1} breakpoints, got {len(pts)}"
         )
-    if list(pts) != sorted(set(pts)):
+    if len(set(pts)) != len(pts):
         raise ValueError("breakpoints must be distinct")
     if pts and not (1 <= pts[0] and pts[-1] <= n - 1):
         raise ValueError(f"breakpoints {pts} outside 1..{n - 1}")
     bounds = (0,) + pts + (n,)
     letters = []
-    for j, v in enumerate(pattern.letters):
-        letters.extend([v] * (bounds[j + 1] - bounds[j]))
+    for v, start, end in zip(pattern.letters, bounds, bounds[1:]):
+        letters += [v] * (end - start)
     return Word(tuple(letters))

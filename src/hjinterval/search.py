@@ -27,7 +27,7 @@ from .cube import (
     rank_permutation,
 )
 
-#: Exhaustive search refuses to run above this dimension unless told otherwise.
+#: Exhaustive search refuses to run above this dimension; larger n goes to SAT.
 EXHAUSTIVE_CAP = 3
 
 OUTCOME_FOUND = "avoider-found"

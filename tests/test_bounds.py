@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hjinterval.bounds import (
     DEFAULT_CAP_DIGITS,
     BoundExpr,
-    hj_value,
     plus_one,
     ramsey_upper,
     tower,
@@ -131,14 +130,3 @@ def test_tower_rendering_is_stable():
 def test_default_cap():
     assert DEFAULT_CAP_DIGITS == 10000
 
-
-def test_hj_two_letter_values():
-    for r in (1, 2, 5, 9):
-        assert hj_value(2, r) == r
-
-
-def test_hj_rejects_other_alphabets():
-    with pytest.raises(ValueError):
-        hj_value(3, 2)
-    with pytest.raises(ValueError):
-        hj_value(2, 0)

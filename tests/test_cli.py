@@ -41,6 +41,13 @@ def test_verify_gadgets_exhaustive(capsys):
     assert "quadruples-checked=5" in out
 
 
+def test_verify_gadgets_quadruple_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-gadgets", "--n", "6", "--quadruple", "1,2,3,4", "--exhaustive-quadruples"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --quadruple" in capsys.readouterr().err
+
+
 def test_verify_gadgets_bad_quadruple(capsys):
     code, _, err = run_cli(capsys, "verify-gadgets", "--n", "5", "--quadruple", "1,2,3")
     assert code == 2
@@ -160,8 +167,9 @@ def test_search_local_inconclusive_exit(tmp_path, capsys, monkeypatch):
 
 
 def test_search_rejects_bad_n(capsys):
-    code, _, err = run_cli(capsys, "search", "--n", "0")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "0"])
+    assert exc.value.code == 2
 
 
 def test_search_exhaustive_above_cap_points_to_sat(capsys):
@@ -439,8 +447,8 @@ def test_module_entry_point(tmp_path, child_env):
 @pytest.mark.parametrize("n, message", [(30, "Unable to allocate"), (40, "")])
 @pytest.mark.parametrize("verb", [["search", "--mode", "local"], ["gen", "--kind", "random"]])
 def test_cube_too_large_to_allocate_is_an_input_error(tmp_path, child_env, verb, n, message):
-    # numpy refuses these arrays at once (n=30 asks for at least 187 TiB, n=40 exceeds
-    # its largest dimension); the address-space cap keeps the child small regardless.
+    # numpy refuses n=30 at once (at least 187 TiB) and the --n parser refuses n=40,
+    # whose 3**n cells numpy cannot index; the address-space cap keeps the child small.
     wrapper = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
@@ -456,8 +464,17 @@ def test_cube_too_large_to_allocate_is_an_input_error(tmp_path, child_env, verb,
         timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: {message}")
+    assert f"error: {message}" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", [["gen", "--kind", "random"], ["search", "--mode", "local"], ["encode"]])
+def test_dimension_numpy_cannot_index_is_refused_naming_n(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--n", "40", "--out", "unused"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: n=40" in err and "3**n" in err
 
 
 def test_console_script_declared(tmp_path, child_env):

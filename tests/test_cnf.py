@@ -396,7 +396,7 @@ def test_solve_builtin_respects_sym_break():
     out = solve_builtin(encode(3, sym_break=True))
     assert out.status == "sat"
     coloring = decode_model(out.model, 3)
-    assert coloring.color_of_rank(0) == 0
+    assert coloring.bits[0] == 0
 
 
 def test_m2_instance_decodes_to_two_interval_avoider():

@@ -6,11 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hjinterval.cube import (
-    COLOR_SWAP,
-    IDENTITY,
-    REVERSAL,
     Coloring,
     Line,
+    Symmetry,
     Word,
     all_symmetries,
     apply_symmetry,
@@ -49,6 +47,8 @@ def test_word_rejects_bad_letters():
         Word((1, 4))
     with pytest.raises(ValueError):
         Word.from_text("10")
+    with pytest.raises(ValueError):
+        Word.from_text("1\u0662")
     with pytest.raises(ValueError):
         Word(())
 
@@ -179,7 +179,7 @@ def test_coloring_basics():
     assert c.get(Word.from_text("12")) == 1
     d = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     assert d.bitstring == "001010100"
-    assert d.color_of_rank(2) == 1
+    assert d.bits[2] == 1
     assert d != c
     assert Coloring.from_bits(2, np.array([0, 0, 1, 0, 1, 0, 1, 0, 0])) == d
     assert len({d, Coloring.from_bits(2, list(map(int, d.bitstring)))}) == 1
@@ -188,7 +188,7 @@ def test_coloring_basics():
 def test_coloring_from_function():
     c = Coloring.from_function(2, lambda w: w[1] % 2)
     for r in range(9):
-        assert c.color_of_rank(r) == unrank(r, 2)[1] % 2
+        assert c.bits[r] == unrank(r, 2)[1] % 2
 
 
 def test_coloring_random_seeded():
@@ -214,12 +214,12 @@ def test_is_monochromatic():
 def test_symmetry_group_size():
     group = all_symmetries()
     assert len(group) == 24
-    assert group[0] == IDENTITY
+    assert group[0] == Symmetry()
     assert len(set(group)) == 24
 
 
 def test_symmetry_word_action():
-    g = REVERSAL
+    g = Symmetry(reverse=True)
     assert g.apply_to_word(Word.from_text("123")) == Word.from_text("321")
     perm = all_symmetries()[1]
     assert perm.apply_to_word(Word.from_text("111")) != Word.from_text("111") or (
@@ -231,20 +231,21 @@ def test_symmetry_inverse_and_compose():
     w = Word.from_text("1232")
     for g in all_symmetries():
         assert g.inverse().apply_to_word(g.apply_to_word(w)) == w
-        assert g.compose(g.inverse()).apply_to_word(w) == w
+        assert g.apply_to_word(g.inverse().apply_to_word(w)) == w
 
 
 def test_apply_symmetry_reversal():
     c = Coloring.from_function(2, lambda w: 1 if str(w) == "12" else 0)
-    img = apply_symmetry(c, REVERSAL)
-    hot = [str(unrank(r, 2)) for r in range(9) if img.color_of_rank(r) == 1]
+    img = apply_symmetry(c, Symmetry(reverse=True))
+    hot = [str(unrank(r, 2)) for r in range(9) if img.bits[r] == 1]
     assert hot == ["21"]
 
 
 def test_apply_symmetry_color_swap_involution():
     c = Coloring.random(2, seed=3)
-    assert apply_symmetry(apply_symmetry(c, COLOR_SWAP), COLOR_SWAP) == c
-    assert apply_symmetry(c, COLOR_SWAP) != c
+    swap = Symmetry(swap_colors=True)
+    assert apply_symmetry(apply_symmetry(c, swap), swap) == c
+    assert apply_symmetry(c, swap) != c
 
 
 def test_rank_permutation_is_permutation():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,6 @@ from hjinterval.gadgets import (
     MIN_GROUND_SIZE,
     SEED_LENGTHS,
     SEED_PATTERNS,
-    GadgetWords,
     HomogeneityError,
     HomogeneousChain,
     LineCertificate,
@@ -45,6 +45,15 @@ WORD_SEEDS = {
     "u1": "132",
 }
 
+# the named bracket words on each candidate line, by moving letter 1, 2, 3
+LINE_MEMBERS = (
+    ("v1", "w2", "w1"),
+    ("w3", "u1", "w1"),
+    ("v2", "w2", "w4"),
+    ("w3", "v3", "w5"),
+    ("w5", "w4", "w1"),
+)
+
 
 def test_seed_patterns():
     assert tuple(str(p) for p in SEED_PATTERNS) == (
@@ -75,7 +84,7 @@ def test_bracket_word_example():
 
 def test_gadget_words_unit_quadruple():
     gw = gadget_words(UNIT_QUAD)
-    assert {k: str(w) for k, w in gw.as_dict().items()} == {
+    assert {k: str(w) for k, w in gw.items()} == {
         "w1": "13332",
         "w2": "12232",
         "w3": "13112",
@@ -91,16 +100,16 @@ def test_gadget_words_unit_quadruple():
 def test_gadget_words_contract_to_seeds():
     for quad in (UNIT_QUAD, Quadruple(9, (2, 4, 5, 7)), Quadruple(12, (3, 5, 9, 11))):
         gw = gadget_words(quad)
-        for name, word in gw.as_dict().items():
+        for name, word in gw.items():
             assert str(contract(word)) == WORD_SEEDS[name], name
 
 
 def test_gadget_lines_unit_quadruple():
     lines = gadget_lines(UNIT_QUAD)
-    assert [g.index for g in lines] == [1, 2, 3, 4, 5]
-    spans = [(g.line.lo, g.line.hi) for g in lines]
+    assert len(lines) == 5
+    spans = [(line.lo, line.hi) for line in lines]
     assert spans == [(2, 3), (3, 4), (2, 2), (4, 4), (3, 3)]
-    members = [tuple(str(w) for w in g.members) for g in lines]
+    members = [tuple(str(w) for w in line.points()) for line in lines]
     assert members == [
         ("11132", "12232", "13332"),
         ("13112", "13222", "13332"),
@@ -115,14 +124,15 @@ def test_gadget_line_active_sets_follow_cuts():
     for quad in (Quadruple(9, (2, 4, 5, 7)), Quadruple(12, (1, 6, 7, 11))):
         a1, a2, a3, a4 = quad.cuts
         expected = [(a1 + 1, a3), (a2 + 1, a4), (a1 + 1, a2), (a3 + 1, a4), (a2 + 1, a3)]
-        got = [(g.line.lo, g.line.hi) for g in gadget_lines(quad)]
+        got = [(line.lo, line.hi) for line in gadget_lines(quad)]
         assert got == expected
 
 
 def test_gadget_lines_members_are_line_points():
     for quad in (UNIT_QUAD, Quadruple(11, (2, 3, 7, 10))):
-        for g in gadget_lines(quad):
-            assert g.members == g.line.points()
+        words = gadget_words(quad)
+        for line, names in zip(gadget_lines(quad), LINE_MEMBERS, strict=True):
+            assert line.points() == tuple(words[name] for name in names)
 
 
 def test_gadget_lines_exhaustive_small_n():
@@ -237,13 +247,13 @@ def test_induced_coloring_keys_are_t_subsets():
 
 
 def test_ramsey_refine_parity_pairs():
-    got = ramsey_refine(range(1, 6), lambda s: (s[0] + s[1]) % 2, 2, 3)
-    assert got == ((1, 3, 5), 0)
+    parity = {s: (s[0] + s[1]) % 2 for s in itertools.combinations(range(1, 6), 2)}
+    assert ramsey_refine(range(1, 6), parity, 2, 3) == ((1, 3, 5), 0)
 
 
 def test_ramsey_refine_pentagon_has_no_triangle():
     edges = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
-    color = lambda s: 1 if tuple(sorted(s)) in edges else 0
+    color = {s: int(s in edges) for s in itertools.combinations(range(1, 6), 2)}
     assert ramsey_refine(range(1, 6), color, 2, 3) is None
 
 
@@ -254,12 +264,17 @@ def test_ramsey_refine_accepts_mapping():
 
 
 def test_ramsey_refine_target_larger_than_ground():
-    assert ramsey_refine((1, 2), lambda s: 0, 2, 3) is None
+    assert ramsey_refine((1, 2), {(1, 2): 0}, 2, 3) is None
+
+
+def test_ramsey_refine_rejects_missing_subset():
+    with pytest.raises(ValueError, match="missing"):
+        ramsey_refine((1, 2, 3), {(1, 2): 0}, 2, 3)
 
 
 def test_find_homogeneous_chain_on_pattern_coloring():
     c = pattern_coloring(5, (0, 1, 1, 0, 0))
-    chain = find_homogeneous_chain(c, target=4)
+    chain = find_homogeneous_chain(c)
     assert chain is not None
     assert chain.colors == (0, 1, 1, 0, 0)
     assert chain.sets == ((1, 2, 3, 4),) * 6
@@ -267,7 +282,7 @@ def test_find_homogeneous_chain_on_pattern_coloring():
 
 def test_chain_sets_are_nested():
     c = pattern_coloring(6, (1, 0, 0, 1, 1))
-    chain = find_homogeneous_chain(c, target=4)
+    chain = find_homogeneous_chain(c)
     assert chain is not None
     for small, big in zip(chain.sets, chain.sets[1:]):
         assert set(small) <= set(big)
@@ -276,11 +291,11 @@ def test_chain_sets_are_nested():
 
 def test_extract_line_certifies_singleton_level():
     c = pattern_coloring(5, (0, 1, 1, 0, 0))
-    chain = find_homogeneous_chain(c, target=4)
+    chain = find_homogeneous_chain(c)
     cert = extract_line(c, chain)
     assert cert.color == 0
     assert (cert.line.lo, cert.line.hi) == (3, 3)
-    assert tuple(str(w) for w in cert.members) == ("13132", "13232", "13332")
+    assert tuple(str(w) for w in cert.line.points()) == ("13132", "13232", "13332")
     assert cert.verify(c)
 
 
@@ -336,7 +351,7 @@ def test_find_interval_line_rejects_unknown_method():
 def test_certificate_verify_catches_wrong_color():
     c = Coloring.constant(3, 0)
     cert = find_interval_line(c)
-    wrong = LineCertificate(line=cert.line, color=1, members=cert.members)
+    wrong = LineCertificate(line=cert.line, color=1)
     assert not wrong.verify(c)
 
 
@@ -345,14 +360,14 @@ def test_certificate_rejects_two_run_line():
     c = Coloring.constant(3, 0)
     assert is_monochromatic(c, line)
     with pytest.raises(ValueError, match="not one interval"):
-        LineCertificate(line=line, color=0, members=line.points())
+        LineCertificate(line=line, color=0)
 
 
 def test_certificate_verify_catches_mixed_line():
     c = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     some_line = next(iter(enumerate_m_interval_lines(2)))
     assert not is_monochromatic(c, some_line)
-    cert = LineCertificate(line=some_line, color=0, members=some_line.points())
+    cert = LineCertificate(line=some_line, color=0)
     assert not cert.verify(c)
 
 
@@ -377,9 +392,30 @@ def test_none_certificate_roundtrip():
 
 
 def test_parse_certificate_rejects_garbage():
-    for bad in ("", "MONO-LINE n=2\n", "MONO-LINE n=2 color=0 active=1..1 fixed=2:1\nW1 11\n"):
+    text = render_certificate(find_interval_line(pattern_coloring(5, (0, 1, 1, 0, 0)), method="gadget"))
+    assert "W2 13232\n" in text
+    tampered = text.replace("W2 13232\n", "W2 13222\n")  # a member row off the header's line
+    for bad in ("", "MONO-LINE n=2\n", "MONO-LINE n=2 color=0 active=1..1 fixed=2:1\nW1 11\n", tampered):
         with pytest.raises(ValueError):
             parse_certificate(bad)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("n=2", "n=100000000000000000"),
+        ("n=2", "n=+2"),
+        ("n=2", "n=\u0662"),
+        ("active=1..1", "active=1..100000000000000000"),
+    ],
+)
+def test_parse_certificate_refuses_a_bad_header_before_building_the_line(field, bad):
+    text = "MONO-LINE n=2 color=0 active=1..1 fixed=2:1\nW1 11\nW2 21\nW3 31\n"
+    assert parse_certificate(text).line.n == 2
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_certificate(text.replace(field, bad))
+    assert time.perf_counter() - start < 0.2
 
 
 def test_gadget_route_matches_case_lemma_prediction():
@@ -390,4 +426,4 @@ def test_gadget_route_matches_case_lemma_prediction():
         cert = find_interval_line(c, method="gadget")
         assert cert.color == color
         predicted = glines[idx - 1]
-        assert cert.line == predicted.line
+        assert cert.line == predicted
