@@ -28,7 +28,7 @@ from hjinterval import (
 w = Word.from_text("1122333111")
 print("word       ", w)
 print("contraction", contract(w))
-print("breakpoints", breakpoints(w).points)
+print("breakpoints", breakpoints(w))
 print("rebuilt    ", realize(contract(w), breakpoints(w), 10))
 print()
 

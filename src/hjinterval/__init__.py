@@ -60,7 +60,7 @@ from .gadgets import (
     ramsey_refine,
     render_certificate,
 )
-from .patterns import BreakpointSet, Pattern, breakpoints, contract, realize
+from .patterns import Pattern, breakpoints, contract, realize
 from .search import (
     SearchReport,
     exhaustive_search,

@@ -24,7 +24,6 @@ from .cnf import (
     parse_dimacs,
     run_solver,
     solve_builtin,
-    write_dimacs,
     write_dimacs_file,
 )
 from .cube import Coloring, load_coloring, save_coloring

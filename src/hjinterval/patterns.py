@@ -41,25 +41,6 @@ class Pattern:
         return "".join(str(v) for v in self.letters)
 
 
-@dataclass(frozen=True)
-class BreakpointSet:
-    """Positions i in 1..n-1 where a word of length n changes letter."""
-
-    n: int
-    points: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient length must be >= 1")
-        if list(self.points) != sorted(set(self.points)):
-            raise ValueError("breakpoints must be strictly increasing")
-        if self.points and not (1 <= self.points[0] and self.points[-1] <= self.n - 1):
-            raise ValueError(f"breakpoints {self.points} outside 1..{self.n - 1}")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def contract(word: Word) -> Pattern:
     """Collapse each maximal constant run to one letter."""
     out = [word.letters[0]]
@@ -69,22 +50,21 @@ def contract(word: Word) -> Pattern:
     return Pattern(tuple(out))
 
 
-def breakpoints(word: Word) -> BreakpointSet:
-    """The set of positions i with letter(i) != letter(i+1)."""
-    pts = tuple(
+def breakpoints(word: Word) -> tuple[int, ...]:
+    """The positions i with letter(i) != letter(i+1), in increasing order."""
+    return tuple(
         i for i, (a, b) in enumerate(zip(word.letters, word.letters[1:]), start=1) if a != b
     )
-    return BreakpointSet(word.n, pts)
 
 
-def realize(pattern: Pattern, points: BreakpointSet | Iterable[int], n: int) -> Word:
+def realize(pattern: Pattern, points: Iterable[int], n: int) -> Word:
     """The unique length-n word with the given contraction and breakpoints.
 
     Block j runs from one breakpoint (exclusive) to the next (inclusive)
     and carries pattern letter j.  Needs exactly len(pattern) - 1
     breakpoints, all inside 1..n-1.
     """
-    pts = tuple(points.points) if isinstance(points, BreakpointSet) else tuple(sorted(points))
+    pts = tuple(sorted(points))
     if len(pts) != len(pattern) - 1:
         raise ValueError(
             f"pattern of length {len(pattern)} needs {len(pattern) - 1} breakpoints, got {len(pts)}"

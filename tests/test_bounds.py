@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,7 @@ def test_t2_is_binomial():
     for p in range(2, 9):
         for q in range(2, 9):
             assert ramsey_upper(2, p, q).value == math.comb(p + q - 2, p - 1)
+    assert ramsey_upper(2, 10**50, 7).value == math.comb(10**50 + 5, 6)
 
 
 @given(st.integers(2, 12), st.integers(2, 12))
@@ -54,6 +56,10 @@ def test_base_cases():
     for t in (1, 2, 3, 4):
         assert ramsey_upper(t, t, 9).value == 9
         assert ramsey_upper(t, 9, t).value == 9
+    # the cap applies to base cases too, and only the cap
+    assert ramsey_upper(3, 200000, 3).value == 200000
+    assert ramsey_upper(4, 10**6, 4).value == 10**6
+    assert ramsey_upper(3, 3, 10, cap_digits=1).render() == "R3(3,10)"
 
 
 def test_arguments_below_uniformity_rejected():
@@ -69,12 +75,17 @@ def test_huge_value_stays_exact_under_default_cap():
     e = ramsey_upper(3, 5, 5)
     assert e.is_exact
     assert len(e.render()) == 6396
+    assert ramsey_upper(3, 5, 5, cap_digits=6396).render() == e.render()
 
 
 def test_cap_forces_symbolic():
     e = ramsey_upper(3, 5, 5, cap_digits=100)
     assert not e.is_exact
     assert e.render().startswith("R")
+    assert ramsey_upper(3, 5, 5, cap_digits=6395).render() == "R3(5,5)"
+    start = time.perf_counter()
+    assert ramsey_upper(3, 4, 100003).render() == "R3(4,100003)"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_symbolic_render_forms():
@@ -94,6 +105,8 @@ def test_symbolic_args_short_circuit():
 
 def test_plus_one_on_exact():
     assert plus_one(BoundExpr.exact(4)).value == 5
+    assert plus_one(BoundExpr.exact(998), 3).value == 999
+    assert plus_one(BoundExpr.exact(999), 3).render() == "999+1"
 
 
 def test_exact_constructor():

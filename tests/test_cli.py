@@ -415,12 +415,25 @@ def test_bound_default(capsys):
     assert "n1=20" in out
     assert "n2=R3(20,20)" in out
     assert out.rstrip().splitlines()[-1].endswith("+1")
+    assert out == _tower_text(10000, "20")
+    assert run_cli(capsys, "bound", "--cap", "10") == (0, _tower_text(10, "20"), "")
 
 
 def test_bound_small_cap(capsys):
     code, out, _ = run_cli(capsys, "bound", "--cap", "1")
     assert code == 0
     assert "n1=R2(4,4)" in out
+    assert out == _tower_text(1, "R2(4,4)")
+
+
+def _tower_text(cap, n1):
+    """`bound` output when every level past n1 is symbolic."""
+    n2 = f"R3({n1},{n1})"
+    n3 = f"R3({n2},{n2})"
+    n4 = f"R4({n3},{n3})"
+    n5 = f"R4({n4},{n4})"
+    rows = [f"cap-digits={cap}", "n0=4", f"n1={n1}", f"n2={n2}", f"n3={n3}", f"n4={n4}", f"n5={n5}"]
+    return "pattern-lengths=3,4,4,5,5\n" + "\n".join(rows) + f"\nn={n5}+1\n"
 
 
 def test_usage_error_exit_code():

@@ -10,7 +10,10 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize(
     "script, key_lines",
     [
-        ("bound_tower.py", ["n0 = 4"]),
+        (
+            "bound_tower.py",
+            ["n0 = 4", "R3(5,5) has 6396 digits", "compose: R4(R3(20,20),10)+1"],
+        ),
         ("proof_walkthrough.py", ["32 cases, all hit"]),
         ("sat_frontier.py", ["c line 1..1 fixed=-", "n=5: unsat", "checked"]),
         ("small_cube_search.py", ["independent recount: 0 violations"]),

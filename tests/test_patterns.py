@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hjinterval.cube import Word, unrank
-from hjinterval.patterns import BreakpointSet, Pattern, breakpoints, contract, realize
+from hjinterval.patterns import Pattern, breakpoints, contract, realize
 
 words = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.tuples(*([st.integers(1, 3)] * n)).map(Word)
@@ -15,19 +15,19 @@ words = st.integers(min_value=1, max_value=10).flatmap(
 def test_worked_example():
     w = Word.from_text("1122333111")
     assert str(contract(w)) == "1231"
-    assert breakpoints(w).points == (2, 4, 7)
+    assert breakpoints(w) == (2, 4, 7)
     assert realize(contract(w), breakpoints(w), 10) == w
 
 
 def test_contract_constant_word():
     assert str(contract(Word.from_text("2222"))) == "2"
-    assert breakpoints(Word.from_text("2222")).points == ()
+    assert breakpoints(Word.from_text("2222")) == ()
 
 
 def test_contract_already_a_pattern():
     w = Word.from_text("1312")
     assert contract(w).letters == w.letters
-    assert breakpoints(w).points == (1, 2, 3)
+    assert breakpoints(w) == (1, 2, 3)
 
 
 def test_pattern_rejects_adjacent_repeats():
@@ -38,13 +38,12 @@ def test_pattern_rejects_adjacent_repeats():
 
 
 def test_breakpoint_set_validates_range():
-    BreakpointSet(5, (1, 4))
+    # breakpoints of a length-n word lie in 1..n-1
+    assert str(realize(Pattern.from_text("123"), (1, 4), 5)) == "12223"
     with pytest.raises(ValueError):
-        BreakpointSet(5, (0, 2))
+        realize(Pattern.from_text("123"), (0, 2), 5)
     with pytest.raises(ValueError):
-        BreakpointSet(5, (2, 5))
-    with pytest.raises(ValueError):
-        BreakpointSet(5, (3, 2))
+        realize(Pattern.from_text("123"), (2, 5), 5)
 
 
 def test_realize_wants_matching_sizes():
@@ -86,12 +85,12 @@ def test_contract_is_idempotent(w):
 
 @given(words)
 def test_breakpoint_count_matches_pattern_length(w):
-    assert len(contract(w)) == len(breakpoints(w).points) + 1
+    assert len(contract(w)) == len(breakpoints(w)) + 1
 
 
 def test_realize_then_contract_recovers_inputs():
     p = Pattern.from_text("132")
-    pts = BreakpointSet(6, (2, 5))
+    pts = (2, 5)
     w = realize(p, pts, 6)
     assert str(w) == "113332"
     assert contract(w) == p
