@@ -1,10 +1,11 @@
-# How far do avoiders reach?  Exhaustive search below the wall, local search
-# just past it.
+# How far do avoiders reach?  The least avoider by SAT up to the wall,
+# a refutation just past it, and local search for comparison.
 #
 # An avoider is a 2-colouring of [3]^n with no monochromatic interval line.
-# For n <= 3 the lexicographically least avoider is found by a pruned
-# depth-first scan over colourings; n = 4 is already out of reach for that,
-# but seeded hill-descent stumbles onto avoiders in a few thousand flips.
+# exhaustive_search finds the least avoider in rank order with the built-in
+# SAT solver: one solve, then one more for each cell that a model colours 1,
+# asking whether it can be 0.  Every UNSAT answer counts only once its DRUP
+# proof has been checked, so "refuted" at n = 5 comes with checked evidence.
 
 import time
 
@@ -17,30 +18,32 @@ from hjinterval import (
     violation_count,
 )
 
-# -- exhaustive, n = 1..3 ----------------------------------------------------
+# -- the least avoider, n = 1..4 ---------------------------------------------
 
-for n in (1, 2, 3):
+for n in (1, 2, 3, 4):
     report = exhaustive_search(n)
     print(render_search_report(report))
-    print()
+least = report.coloring
 
-# Symmetry pruning discards colourings whose orbit contains something
-# lexicographically smaller.  The answer is identical either way; only the
-# node count moves.
+# The colour-swap unit clause fixes the rank-0 cell to 0.  The answer is the
+# same either way; only the solver's work can move.
 
-with_sym = exhaustive_search(3, use_symmetry=True)
-without = exhaustive_search(3, use_symmetry=False)
-assert with_sym.coloring == without.coloring
-print(f"n=3 nodes with symmetry pruning: {with_sym.stats['nodes']}")
-print(f"n=3 nodes without:               {without.stats['nodes']}")
+for n in (4, 5):
+    with_unit = exhaustive_search(n, use_symmetry=True)
+    without = exhaustive_search(n, use_symmetry=False)
+    assert (with_unit.outcome, with_unit.coloring) == (without.outcome, without.coloring)
+    print(f"n={n}: {with_unit.outcome}")
+    for name, report in (("with the unit", with_unit), ("without it", without)):
+        print(f"  {name:13}  solves={report.stats['solves']}  lemmas={report.stats['lemmas']}")
 print()
 
 # Avoiding is a property of the whole symmetry orbit: letter permutations,
 # coordinate reversal and colour swap all preserve interval lines.
 
-orbit = {apply_symmetry(with_sym.coloring, g).bitstring for g in all_symmetries()}
-assert all(violation_count(apply_symmetry(with_sym.coloring, g)) == 0 for g in all_symmetries())
-print(f"the least n=3 avoider has an orbit of {len(orbit)} avoiders")
+orbit = {apply_symmetry(least, g).bitstring for g in all_symmetries()}
+assert all(violation_count(apply_symmetry(least, g)) == 0 for g in all_symmetries())
+print(f"n=4 least avoider: {least.bitstring}")
+print(f"its orbit holds {len(orbit)} avoiders")
 print()
 
 # -- local search at n = 4 ---------------------------------------------------
@@ -51,5 +54,5 @@ start = time.perf_counter()
 report = local_search(4, seed=7, budget=40000)
 elapsed = time.perf_counter() - start
 print(render_search_report(report))
-print(f"\nfound in {elapsed:.2f}s; independent recount: "
+print(f"found in {elapsed:.2f}s; independent recount: "
       f"{violation_count(report.coloring)} violations")

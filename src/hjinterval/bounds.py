@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .gadgets import MIN_GROUND_SIZE, SEED_LENGTHS
 
 DEFAULT_CAP_DIGITS = 10_000
+#: The bound for uniformity t recurses t levels deep: t stays below Python's recursion limit.
+MAX_UNIFORMITY = 900
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ def ramsey_upper(
     short-circuit to a symbolic bound, since anything built on top of an
     over-cap number is over the cap too.
     """
-    if t < 1:
-        raise ValueError("uniformity t must be >= 1")
+    if not 1 <= t <= MAX_UNIFORMITY:
+        raise ValueError(f"uniformity t must be in 1..{MAX_UNIFORMITY}, not {t}")
     if cap_digits < 1:
         raise ValueError("cap must be at least one digit")
     p, q = (x if isinstance(x, BoundExpr) else BoundExpr.exact(x) for x in (p, q))

@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000)
-    p.add_argument("--no-symmetry", action="store_true", help="disable symmetry pruning")
+    p.add_argument("--no-symmetry", action="store_true", help="leave out the colour-swap unit clause")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for local restarts")
     p.add_argument("--out", help="avoider file (default avoider-n<N>.hjc)")
     p.set_defaults(func=cmd_search)
@@ -301,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -422,7 +422,10 @@ def find_homogeneous_chain(coloring: Coloring) -> HomogeneousChain | None:
     Works from the longest seed pattern down to the shortest, shrinking
     the ground set to :data:`MIN_GROUND_SIZE` elements at each level with
     :func:`ramsey_refine`.  At desk scale the refinement often simply
-    fails; that is reported as None, not an error.
+    fails; that is reported as None, not an error.  Every level targets
+    four elements, and any 4-set is homogeneous for the 4-uniform level
+    5, so it always returns (1, 2, 3, 4): a chain, when one is found,
+    holds that set as sets[0] to sets[4].
     """
     n = coloring.n
     if n - 1 < MIN_GROUND_SIZE:

@@ -1,34 +1,30 @@
 """Searching small cubes for colourings with no monochromatic interval line.
 
-Two engines.  The exhaustive one walks all two-colourings of the n-cube
-in lexicographic order of their rank-indexed bitstrings, pruning both on
-completed monochromatic lines and (optionally) on prefixes that can
-never be the least member of their symmetry orbit; the first surviving
-leaf is therefore the lexicographically least avoider overall.  The
-local one is plain steepest descent on the violation count with sideways
-moves and seeded restarts; it keeps each line's count of ones and each
-cell's flip score up to date, so a flip touches only the lines through
-its cell.  Either way, the reported count is re-checked by a direct scan.
+Two engines.  The exhaustive one finds the least avoider in rank order,
+or refutes one, with the built-in SAT solver: one solve of the CNF
+encoding, then one more for each cell that a model colours 1, asking
+whether it can be 0; each UNSAT answer counts only once its DRUP proof
+has been checked.  The local one is plain steepest descent on the
+violation count with sideways moves and seeded restarts; it keeps each
+line's count of ones and each cell's flip score up to date, so a flip
+touches only the lines through its cell.  Either way, the reported
+count is re-checked by a direct scan.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .cube import (
-    Coloring,
-    all_symmetries,
-    interval_line_members,
-    mono_mask,
-    rank_permutation,
-)
-
-#: Exhaustive search refuses to run above this dimension; larger n goes to SAT.
-EXHAUSTIVE_CAP = 3
+from .cnf import CnfInstance, encode, solve_builtin
+from .cube import Coloring, interval_line_members, mono_mask
+from .drup import check_proof
 
 OUTCOME_FOUND = "avoider-found"
 OUTCOME_REFUTED = "refuted"
@@ -77,91 +73,51 @@ def render_search_report(report: SearchReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _symmetry_tables(n: int) -> list[tuple[list[int], int]]:
-    """Rank permutation and colour flip for every non-identity group element."""
-    tables = []
-    for g in all_symmetries():
-        flip = 1 if g.swap_colors else 0
-        perm = rank_permutation(g, n)
-        if flip == 0 and np.array_equal(perm, np.arange(3**n)):
-            continue
-        tables.append((perm.tolist(), flip))
-    return tables
-
-
 def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
-    """Decide whether the n-cube admits an avoider, by complete enumeration.
+    """Decide whether the n-cube admits an avoider, by SAT with checked proofs.
 
-    Returns the lexicographically least avoider when one exists (its
-    bitstring read in rank order), else a refutation.  The symmetry
-    toggle only trims the walk; the outcome is the same either way.
-    Dimensions above :data:`EXHAUSTIVE_CAP` are refused because the space grows as
-    2**(3**n).
+    Returns the least avoider in rank order when one exists, else a
+    refutation.  After one solve of :func:`encode`, each cell that the
+    current model colours 1 is asked again with the cells before it fixed
+    and itself at 0: a model replaces the current one, UNSAT fixes it at 1.
+    Every UNSAT answer counts only once :func:`check_proof` accepts its
+    proof.  use_symmetry adds the colour-swap unit of :func:`encode`; the
+    answer is the same either way, as the swap maps an avoider that starts
+    with 1 to a smaller one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive cap {EXHAUSTIVE_CAP}; decide it by SAT instead: "
-            f"hjinterval encode --n {n} --out FILE, then hjinterval solve --cnf FILE"
-        )
     t0 = time.perf_counter()
-    size = 3**n
-    members = interval_line_members(n).tolist()
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for p, q, r in members:
-        closing[r].append((p, q))
-    sym = _symmetry_tables(n) if use_symmetry else []
-    bits = bytearray(size)
-    stats = {"nodes": 0, "violation_prunes": 0, "symmetry_prunes": 0, "leaves": 0}
+    base = encode(n, sym_break=use_symmetry)
+    stats = {"solves": 0, "unsat_steps": 0, "lemmas": 0}
 
-    def prefix_has_smaller_image(k: int) -> bool:
-        # A prefix dies when some group image of every completion is
-        # lexicographically smaller, which is decided as soon as the
-        # first differing position is assigned on both sides.
-        for perm, flip in sym:
-            for j in range(size):
-                pj = perm[j]
-                if j > k or pj > k:
-                    break
-                own = bits[j]
-                img = bits[pj] ^ flip
-                if img < own:
-                    return True
-                if img > own:
-                    break
-        return False
-
-    def walk(k: int) -> bytes | None:
-        if k == size:
-            stats["leaves"] += 1
-            return bytes(bits)
-        for b in (0, 1):
-            stats["nodes"] += 1
-            bits[k] = b
-            violated = False
-            for p, q in closing[k]:
-                if bits[p] == b and bits[q] == b:
-                    violated = True
-                    break
-            if violated:
-                stats["violation_prunes"] += 1
-                continue
-            if sym and prefix_has_smaller_image(k):
-                stats["symmetry_prunes"] += 1
-                continue
-            hit = walk(k + 1)
-            if hit is not None:
-                return hit
+    def model_with(units: list[int]) -> np.ndarray | None:
+        """A model of the formula with these unit clauses added, as bits, or None."""
+        rows = np.zeros((len(units), base.clauses.shape[1]), dtype=np.int32)
+        rows[:, 0] = units
+        formula = CnfInstance(base.n_vars, np.vstack((base.clauses, rows)))
+        outcome = solve_builtin(formula)
+        stats["solves"] += 1
+        if outcome.status == "sat":
+            return (np.array(outcome.model) > 0).astype(np.uint8)
+        reason = check_proof(formula.clause_tuples(), outcome.proof)
+        if reason is not None:
+            raise RuntimeError(f"internal error: the built-in solver's refutation fails: {reason}")
+        stats["unsat_steps"] += 1
+        stats["lemmas"] += len(outcome.proof)
         return None
 
-    found = walk(0)
+    model = model_with([])
+    decided: list[int] = []  # one unit clause per cell fixed so far, in rank order
+    for cell in range(3**n if model is not None else 0):
+        if model[cell] and (better := model_with([*decided, -1 - cell])) is not None:
+            model = better
+        decided.append(cell + 1 if model[cell] else -1 - cell)
     stats["wall_time_s"] = time.perf_counter() - t0
-    if found is None:
+    if model is None:
         return SearchReport("exhaustive", n, OUTCOME_REFUTED, stats=stats)
-    coloring = Coloring(n, np.frombuffer(found, dtype=np.uint8))
-    violations = violation_count(coloring)
-    if violations != 0:
+    coloring = Coloring(n, model)
+    if violation_count(coloring) != 0:
         raise RuntimeError("internal error: exhaustive search reported a non-avoider")
     return SearchReport(
         "exhaustive", n, OUTCOME_FOUND, coloring=coloring, violations=0, stats=stats
@@ -169,11 +125,6 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
 
 
 # --- local search ------------------------------------------------------------
-
-
-def _restart_seed(seed: int, index: int) -> int:
-    # Mix so that nearby (seed, index) pairs do not share low bits.
-    return (seed * 0x9E3779B97F4A7C15 + index * 0xBF58476D1CE4E5B9 + 1) % (1 << 63)
 
 
 #: _GAIN[2*o + b]: change in a line's violation when a colour-b member flips, o its ones.
@@ -246,14 +197,30 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     return best, best_bits, flips
 
 
+def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: int) -> Iterator:
+    """Each restart's result, in seed order.  With workers > 1 the restarts run in a
+    process pool, handed that many at a time; closing the generator ends the pool."""
+    if workers == 1:
+        yield from (_one_restart(n, s, per_restart) for s in seeds)
+        return
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        while batch := list(islice(seeds, workers)):
+            futures = [pool.submit(_one_restart, n, s, per_restart) for s in batch]
+            yield from (future.result() for future in futures)
+
+
 def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     """Minimize monochromatic interval lines by single-cell flips.
 
     The budget is a total flip allowance, split into independently
     seeded restarts run in order; the first violation-free colouring
     ends the run, otherwise the best colouring seen is reported as
-    inconclusive.  With jobs > 1 the restarts run in worker processes,
-    and the report is the same as with one.
+    inconclusive.  With jobs > 1 the restarts run in up to that many
+    worker processes (no more than the CPUs), and the report is the same
+    as with one.  Restarts are made as they are needed, so a huge budget
+    costs nothing up front.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -262,30 +229,22 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     t0 = time.perf_counter()
-    size = 3**n
-    per_restart = min(budget, max(30 * size, 300))
+    per_restart = min(budget, max(30 * 3**n, 300))
     restarts = max(1, -(-budget // per_restart))
-    args = [(n, _restart_seed(seed, k), per_restart) for k in range(restarts)]
-    pool = None
-    if jobs > 1 and restarts > 1:
-        import concurrent.futures
-
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, restarts))
+    # Mixed so that nearby (seed, k) pairs do not share low bits.
+    seeds = (
+        (seed * 0x9E3779B97F4A7C15 + k * 0xBF58476D1CE4E5B9 + 1) % 2**63 for k in range(restarts)
+    )
+    results = _restart_results(n, per_restart, seeds, min(jobs, restarts, os.cpu_count() or 1))
     used = []
-    try:
-        for result in (pool.map if pool else map)(_one_restart, *zip(*args)):
-            used.append(result)
-            if result[0] == 0:
-                break
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for result in results:
+        used.append(result)
+        if result[0] == 0:
+            break
+    results.close()
     best, best_bits, _ = min(used, key=lambda r: r[0])
-    stats = {
-        "restarts": len(used),
-        "flips": sum(r[2] for r in used),
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    flips = sum(r[2] for r in used)
+    stats = {"restarts": len(used), "flips": flips, "wall_time_s": time.perf_counter() - t0}
     coloring = Coloring(n, best_bits)
     if violation_count(coloring) != best:
         raise RuntimeError(f"internal error: local search miscounted {best} violations")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hjinterval.bounds import (
     DEFAULT_CAP_DIGITS,
+    MAX_UNIFORMITY,
     BoundExpr,
     plus_one,
     ramsey_upper,
@@ -69,6 +70,12 @@ def test_arguments_below_uniformity_rejected():
         ramsey_upper(2, 5, 1)
     with pytest.raises(ValueError):
         ramsey_upper(0, 2, 2)
+
+
+def test_uniformity_is_capped_below_the_recursion_limit():
+    assert ramsey_upper(MAX_UNIFORMITY, 901, 901).render() == "R900(901,901)"
+    with pytest.raises(ValueError, match=r"1\.\.900, not 1100"):
+        ramsey_upper(1100, 1101, 1101)
 
 
 def test_huge_value_stays_exact_under_default_cap():

@@ -172,19 +172,33 @@ def test_search_rejects_bad_n(capsys):
     assert exc.value.code == 2
 
 
-def test_search_exhaustive_above_cap_points_to_sat(capsys):
-    code, _, err = run_cli(capsys, "search", "--n", "4", "--mode", "exhaustive")
-    assert code == 2
-    assert "exceeds the exhaustive cap 3" in err
-    assert "hjinterval encode --n 4" in err and "hjinterval solve" in err
-    assert "bigger cap" not in err
+def test_search_exhaustive_decides_past_n3(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "search", "--n", "4", "--mode", "exhaustive")
+    assert code == 0
+    assert f"coloring={exhaustive_search(4).coloring.bitstring}\n" in out
+    assert load_coloring(str(tmp_path / "avoider-n4.hjc")) == exhaustive_search(4).coloring
+    code, out, _ = run_cli(capsys, "search", "--n", "5", "--mode", "exhaustive")
+    assert code == 0
+    assert "outcome=refuted\n" in out and "coloring=-\n" in out
+    assert int(out.split("lemmas=")[1].split()[0]) > 0
+    assert not (tmp_path / "avoider-n5.hjc").exists()
 
 
 def test_search_no_symmetry_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(capsys, "search", "--n", "2", "--no-symmetry")
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--no-symmetry")
     assert code == 0
-    assert "symmetry_prunes=0" in out
+    assert f"coloring={exhaustive_search(3, use_symmetry=True).coloring.bitstring}\n" in out
+
+
+def test_error_without_text_prints_its_type(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_bound", out_of_memory)
+    code, _, err = run_cli(capsys, "bound")
+    assert (code, err) == (2, "error: MemoryError\n")
 
 
 def test_encode_solve_roundtrip(tmp_path, capsys):

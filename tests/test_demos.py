@@ -16,7 +16,15 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
         ),
         ("proof_walkthrough.py", ["32 cases, all hit"]),
         ("sat_frontier.py", ["c line 1..1 fixed=-", "n=5: unsat", "checked"]),
-        ("small_cube_search.py", ["independent recount: 0 violations"]),
+        (
+            "small_cube_search.py",
+            [
+                "n=4 least avoider: 0010101001010100100101011011010010100101001010011100100101101"
+                "01101101010100001011",
+                "n=5: refuted",
+                "independent recount: 0 violations",
+            ],
+        ),
     ],
 )
 def test_demo_runs(script, key_lines, tmp_path, child_env):

@@ -1,15 +1,19 @@
+import concurrent.futures
 import hashlib
 import itertools
+import os
 import random
 
 import numpy as np
 import pytest
 
+from hjinterval import search
+from hjinterval.cnf import SolveOutcome
 from hjinterval.cube import Coloring, Word, apply_symmetry, all_symmetries, interval_line_members
 from hjinterval.search import (
-    EXHAUSTIVE_CAP,
     OUTCOME_FOUND,
     OUTCOME_INCONCLUSIVE,
+    OUTCOME_REFUTED,
     SearchReport,
     _incidence,
     _one_restart,
@@ -23,6 +27,7 @@ LEAST_AVOIDERS = {
     1: "001",
     2: "001010100",
     3: "001010100001100011110001011",
+    4: "001010100101010010010101101101001010010100101001110010010110101101101010100001011",
 }
 
 
@@ -73,14 +78,14 @@ def test_exhaustive_n1():
     assert report.outcome == OUTCOME_FOUND
     assert report.coloring.bitstring == LEAST_AVOIDERS[1]
     assert report.violations == 0
-    assert report.stats["nodes"] == 4
+    assert (report.stats["solves"], report.stats["unsat_steps"]) == (2, 1)
 
 
 def test_exhaustive_n2():
     report = exhaustive_search(2)
     assert report.outcome == OUTCOME_FOUND
     assert report.coloring.bitstring == LEAST_AVOIDERS[2]
-    assert report.stats["nodes"] == 20
+    assert (report.stats["solves"], report.stats["unsat_steps"]) == (5, 3)
 
 
 def test_exhaustive_n3():
@@ -102,18 +107,30 @@ def test_exhaustive_returns_least_avoider():
 
 
 def test_exhaustive_symmetry_flag_changes_nothing():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         a = exhaustive_search(n, use_symmetry=True)
         b = exhaustive_search(n, use_symmetry=False)
-        assert a.coloring == b.coloring
-        assert b.stats["symmetry_prunes"] == 0
-        assert a.stats["nodes"] <= b.stats["nodes"]
+        assert (a.outcome, a.coloring) == (b.outcome, b.coloring)
+        assert a.stats["solves"] == b.stats["solves"]
+        assert a.stats["lemmas"] <= b.stats["lemmas"]
 
 
-def test_exhaustive_cap():
-    assert EXHAUSTIVE_CAP == 3
-    with pytest.raises(ValueError):
-        exhaustive_search(EXHAUSTIVE_CAP + 1)
+def test_exhaustive_beyond_n3():
+    report = exhaustive_search(4)
+    assert report.outcome == OUTCOME_FOUND
+    assert report.coloring.bitstring == LEAST_AVOIDERS[4]
+    for n in (5, 6, 7):
+        report = exhaustive_search(n)
+        assert report.outcome == OUTCOME_REFUTED and report.coloring is None
+        assert report.stats["solves"] == report.stats["unsat_steps"] == 1
+        assert report.stats["lemmas"] > 0
+
+
+def test_exhaustive_rejects_a_proof_that_does_not_check(monkeypatch):
+    # an UNSAT whose proof is only the empty clause: unit propagation alone finds no conflict
+    monkeypatch.setattr(search, "solve_builtin", lambda instance: SolveOutcome("unsat", proof=((),)))
+    with pytest.raises(RuntimeError, match="refutation"):
+        exhaustive_search(2)
 
 
 def test_exhaustive_rejects_bad_n():
@@ -133,7 +150,7 @@ def test_report_rendering_is_stable():
     assert text == render_search_report(report)
     assert text.startswith("mode=exhaustive\nn=2\noutcome=avoider-found\n")
     assert "coloring=001010100" in text
-    assert "nodes=20" in text
+    assert "solves=5\n" in text and "unsat_steps=3\n" in text and "lemmas=3\n" in text
 
 
 def test_report_semantic_fields_ignore_timing():
@@ -188,6 +205,48 @@ def test_local_search_jobs_invariant():
         b = local_search(n, seed=seed, budget=budget, jobs=2)
         assert a.semantic_fields() == b.semantic_fields()
     assert a.outcome == OUTCOME_INCONCLUSIVE and a.stats["restarts"] == 3
+
+
+def test_local_search_makes_restarts_only_as_needed():
+    # 333 million restarts fit this budget; the first one finds an avoider
+    report = local_search(1, seed=0, budget=10**11)
+    assert report.outcome == OUTCOME_FOUND
+    assert report.stats["restarts"] == 1
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: runs each call as it is submitted, and records
+    the worker count asked for and the number of calls submitted."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.submitted = max_workers, 0
+        InlinePool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_local_search_pool_is_bounded_by_cpus_and_fed_lazily(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(InlinePool, "made", [])
+    # Of 17 restarts the sixth finds an avoider: it is in the second batch of four.
+    report = local_search(4, seed=7, budget=40000, jobs=64)
+    assert report.semantic_fields() == local_search(4, seed=7, budget=40000).semantic_fields()
+    report = local_search(1, seed=0, budget=10**11, jobs=64)
+    assert report.outcome == OUTCOME_FOUND and report.stats["restarts"] == 1
+    assert [(pool.max_workers, pool.submitted) for pool in InlinePool.made] == [(4, 8), (4, 4)]
 
 
 def full_recount_restart(n, restart_seed, max_flips):
