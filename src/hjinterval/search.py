@@ -6,9 +6,10 @@ encoding, then one more for each cell that a model colours 1, asking
 whether it can be 0; each UNSAT answer counts only once its DRUP proof
 has been checked.  The local one is plain steepest descent on the
 violation count with sideways moves and seeded restarts; it keeps each
-line's count of ones and each cell's flip score up to date, so a flip
-touches only the lines through its cell.  Either way, the reported
-count is re-checked by a direct scan.
+line's count of ones and each cell's flip score up to date in Python
+lists, so a flip touches only the lines through its cell, and it files
+the cells in one bucket per score, so the best flip is found without a
+scan.  Either way, the reported count is re-checked by a direct scan.
 """
 
 from __future__ import annotations
@@ -131,18 +132,22 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
 _GAIN = np.array([-1, 0, 0, 1, 1, 0, 0, -1], dtype=np.int8)
 #: _RESCORE[b][2*o + u]: change in a colour-u member's gain when a colour-b member of its
 #: line flips (o ones before); the wrapped entries belong to (o, b) pairs that cannot occur.
-_RESCORE = np.stack((np.roll(_GAIN, -2) - _GAIN, np.roll(_GAIN, 2) - _GAIN))
+_RESCORE = [(np.roll(_GAIN, shift) - _GAIN).tolist() for shift in (-2, 2)]
 
 
 @lru_cache(maxsize=8)
-def _incidence(n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Per cell c, slices start[c]:start[c + 1] of its rows of :func:`interval_line_members`
-    (ascending) and of the two other members of each row."""
-    members = interval_line_members(n)
-    lines, pos = np.divmod(np.argsort(members.ravel(), kind="stable").astype(np.int32), 3)
-    others = members[lines[:, None], (pos[:, None] + (1, 2)) % 3].astype(np.int32)
-    lines.flags.writeable = others.flags.writeable = False
-    return [0, *np.bincount(members.ravel(), minlength=3**n).cumsum().tolist()], lines, others
+def _cell_lines(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per cell, one (line, other, other) triple for each row of
+    :func:`interval_line_members` through it, rows ascending.  The cell ids
+    come from one list, so the triples share their int objects."""
+    ids = list(range(3**n))
+    through: list[list[tuple[int, int, int]]] = [[] for _ in ids]
+    for line, (a, b, c) in enumerate(interval_line_members(n).tolist()):
+        a, b, c = ids[a], ids[b], ids[c]
+        through[a].append((line, b, c))
+        through[b].append((line, a, c))
+        through[c].append((line, a, b))
+    return tuple(map(tuple, through))
 
 
 def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
@@ -151,50 +156,76 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     Returns (best violation count, best bits, flips used).  Sideways
     moves are taken when no flip improves; a long sideways drift or a
     strict local minimum ends the restart early.  Line counts and flip
-    scores are counted once; a flip then moves the counts of the lines
-    through its cell and rescores only their other members.
+    scores are counted once with numpy, then kept in Python lists: a flip
+    moves the counts of the lines through its cell and rescores only their
+    other members.  Each score has a bucket, the set of cells with that
+    score, and a floor at or below the lowest non-empty one: a rescore
+    below the floor lowers it, and the next choice raises it past empty
+    buckets.  An improving flip takes the least cell of the lowest bucket,
+    a sideways one a random cell of it in ascending order.
     """
     rng = np.random.default_rng(restart_seed)
     size = 3**n
     members = interval_line_members(n)
-    start, cell_lines, cell_others = _incidence(n)
+    through = _cell_lines(n)
     bits = rng.integers(0, 2, size=size, dtype=np.uint8)
     cols = bits[members]
     twice = 2 * cols.sum(1, dtype=np.int8)  # twice each line's count of ones
     violations = int(np.count_nonzero((twice == 0) | (twice == 6)))
     delta = np.bincount(members.ravel(), _GAIN[twice[:, None] + cols].ravel(), size)
-    delta = delta.astype(np.int32)  # delta[c]: the change in violations if cell c flips
+    # score[c]: the change in violations if cell c flips, at most reach (the most lines
+    # through a cell) either way.  A negative score indexes buckets from the end.
+    bits, twice, score = bits.tolist(), twice.tolist(), delta.astype(int).tolist()
+    reach = max(map(len, through))
+    buckets: list[set[int]] = [set() for _ in range(2 * reach + 1)]
+    for cell, s in enumerate(score):
+        buckets[s].add(cell)
+    floor = min(score)
     best = members.shape[0] + 1
     flips = 0
     sideways = 0
     while True:
         if violations < best:
-            best, best_bits = violations, bits.copy()
+            best, best_bits = violations, bits[:]
         if violations == 0 or flips == max_flips:
             break
-        lowest = delta.min()
+        while not buckets[floor]:
+            floor += 1
+        lowest = floor
         if lowest > 0:
             break
-        candidates = np.flatnonzero(delta == lowest)
+        bucket = buckets[lowest]
         if lowest == 0:
             sideways += 1
             if sideways > 2 * size:
                 break
-            cell = candidates[rng.integers(0, candidates.size)]
+            cell = sorted(bucket)[rng.integers(0, len(bucket))]
         else:
             sideways = 0
-            cell = candidates[0]
-        lo, hi = start[cell], start[cell + 1]
-        lines, others = cell_lines[lo:hi], cell_others[lo:hi]
-        b = int(bits[cell])
+            cell = min(bucket)
+        bucket.remove(cell)
+        b = bits[cell]
         bits[cell] = 1 - b
-        old = twice[lines]
-        twice[lines] = old + (2 - 4 * b)
-        delta[others] += _RESCORE[b][old[:, None] + bits[others]]
-        delta[cell] = -lowest  # flipping it back would undo the move
-        violations += int(lowest)
+        step = 2 - 4 * b
+        rescore = _RESCORE[b]
+        for line, u, v in through[cell]:
+            old = twice[line]
+            twice[line] = old + step
+            s = score[u]
+            score[u] = su = s + rescore[old + bits[u]]
+            buckets[s].remove(u)
+            buckets[su].add(u)
+            s = score[v]
+            score[v] = sv = s + rescore[old + bits[v]]
+            buckets[s].remove(v)
+            buckets[sv].add(v)
+            if su < floor or sv < floor:
+                floor = min(su, sv)
+        score[cell] = -lowest  # flipping it back would undo the move
+        buckets[-lowest].add(cell)
+        violations += lowest
         flips += 1
-    return best, best_bits, flips
+    return best, np.array(best_bits, dtype=np.uint8), flips
 
 
 def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: int) -> Iterator:

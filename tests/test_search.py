@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjinterval import search
 from hjinterval.cnf import SolveOutcome
@@ -15,7 +17,7 @@ from hjinterval.search import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_REFUTED,
     SearchReport,
-    _incidence,
+    _cell_lines,
     _one_restart,
     exhaustive_search,
     local_search,
@@ -305,16 +307,31 @@ def test_incremental_restart_matches_full_recount():
     assert {"avoider", "budget", "sideways"} <= stops
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bucketed_restart_matches_full_recount(data):
+    n = data.draw(st.integers(1, 5))
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    max_flips = data.draw(st.integers(1, 3 * 3**n))
+    best, bits, flips = _one_restart(n, seed, max_flips)
+    ref_best, ref_bits, ref_flips, _ = full_recount_restart(n, seed, max_flips)
+    assert (best, flips) == (ref_best, ref_flips)
+    assert np.array_equal(bits, ref_bits)
+
+
 def test_incidence_lists_each_cells_lines_and_their_other_members():
     for n in range(1, 6):
-        members = interval_line_members(n)
-        start, lines, others = _incidence(n)
-        assert start[0] == 0 and start[-1] == members.size and len(start) == 3**n + 1
-        for cell in range(3**n):
-            rows = np.flatnonzero((members == cell).any(axis=1))
-            assert lines[start[cell]:start[cell + 1]].tolist() == rows.tolist()
-            expected = [sorted(set(members[row].tolist()) - {cell}) for row in rows]
-            assert np.sort(others[start[cell]:start[cell + 1]], axis=1).tolist() == expected
+        members = interval_line_members(n).tolist()
+        through = _cell_lines(n)
+        assert len(through) == 3**n
+        seen = [[] for _ in members]
+        for cell, triples in enumerate(through):
+            assert [line for line, _, _ in triples] == sorted({line for line, _, _ in triples})
+            for line, u, v in triples:
+                assert sorted((cell, u, v)) == sorted(members[line])
+                seen[line].append(cell)
+        # each row appears once at each of its three members
+        assert [sorted(cells) for cells in seen] == [sorted(row) for row in members]
 
 
 def test_local_search_gives_up_honestly():
