@@ -65,6 +65,14 @@ def dimension(text: str) -> int:
     return n
 
 
+def seed(text: str) -> int:
+    """A gen --seed: numpy's generator takes only seeds >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed={value} is negative: a gen seed must be >= 0")
+    return value
+
+
 def _parse_color_vector(text: str) -> tuple[int, ...]:
     if len(text) != 5 or any(ch not in "01" for ch in text):
         raise ValueError(f"need five bits like 01100, got {text!r}")
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=dimension, required=True)
     p.add_argument("--kind", choices=("pattern", "random", "constant"), required=True)
     p.add_argument("--d", help="five pattern colours like 01100 (pattern kind)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

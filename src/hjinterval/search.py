@@ -4,17 +4,18 @@ Two engines.  The exhaustive one finds the least avoider in rank order,
 or refutes one, with the built-in SAT solver: one solve of the CNF
 encoding, then one more for each cell that a model colours 1, asking
 whether it can be 0; each UNSAT answer counts only once its DRUP proof
-has been checked.  The local one is plain steepest descent on the
-violation count with sideways moves and seeded restarts; it keeps each
-line's count of ones and each cell's flip score up to date in Python
-lists, so a flip touches only the lines through its cell, and it files
-the cells in one bucket per score, so the best flip is found without a
-scan.  Either way, the reported count is re-checked by a direct scan.
+has been checked.  The local one is steepest descent on the violation
+count with sideways moves and restarts seeded into ``random.Random``; it
+keeps each line's count of ones and each cell's flip score in Python
+lists, so a flip touches only the lines through its cell, and files the
+cells in one bucket per score, so the best flip needs no scan.  Either
+way, the reported count is re-checked by a direct scan.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -153,37 +154,36 @@ def _cell_lines(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
     """Steepest descent from one random colouring.
 
-    Returns (best violation count, best bits, flips used).  Sideways
-    moves are taken when no flip improves; a long sideways drift or a
-    strict local minimum ends the restart early.  Line counts and flip
-    scores are counted once with numpy, then kept in Python lists: a flip
-    moves the counts of the lines through its cell and rescores only their
-    other members.  Each score has a bucket, the set of cells with that
-    score, and a floor at or below the lowest non-empty one: a rescore
-    below the floor lowers it, and the next choice raises it past empty
-    buckets.  An improving flip takes the least cell of the lowest bucket,
-    a sideways one a random cell of it in ascending order.
+    Returns (best violation count, best bits, flips used).  Sideways moves
+    are taken when no flip improves; a long sideways drift or a strict local
+    minimum ends the restart early.  ``random.Random(restart_seed)`` draws one
+    start bit per cell in rank order, then each sideways pick.  Line counts
+    and flip scores are counted once with numpy, then kept in Python lists:
+    a flip moves the counts of the lines through its cell and rescores only
+    their other members.  Each score has a bucket of cells and a floor at or
+    below the lowest non-empty one: a rescore below the floor lowers it, and
+    the next choice raises it past empty buckets.  An improving flip takes
+    the least cell of the lowest bucket, a sideways one a random pick of it.
     """
-    rng = np.random.default_rng(restart_seed)
     size = 3**n
     members = interval_line_members(n)
     through = _cell_lines(n)
-    bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-    cols = bits[members]
+    rng = random.Random(restart_seed)
+    bits = [rng.getrandbits(1) for _ in range(size)]
+    cols = np.array(bits, dtype=np.uint8)[members]
     twice = 2 * cols.sum(1, dtype=np.int8)  # twice each line's count of ones
     violations = int(np.count_nonzero((twice == 0) | (twice == 6)))
     delta = np.bincount(members.ravel(), _GAIN[twice[:, None] + cols].ravel(), size)
     # score[c]: the change in violations if cell c flips, at most reach (the most lines
     # through a cell) either way.  A negative score indexes buckets from the end.
-    bits, twice, score = bits.tolist(), twice.tolist(), delta.astype(int).tolist()
+    twice, score = twice.tolist(), delta.astype(int).tolist()
     reach = max(map(len, through))
     buckets: list[set[int]] = [set() for _ in range(2 * reach + 1)]
     for cell, s in enumerate(score):
         buckets[s].add(cell)
     floor = min(score)
     best = members.shape[0] + 1
-    flips = 0
-    sideways = 0
+    flips = sideways = 0
     while True:
         if violations < best:
             best, best_bits = violations, bits[:]
@@ -199,7 +199,7 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
             sideways += 1
             if sideways > 2 * size:
                 break
-            cell = sorted(bucket)[rng.integers(0, len(bucket))]
+            cell = rng.choice(sorted(bucket))
         else:
             sideways = 0
             cell = min(bucket)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import shutil
 import subprocess
@@ -80,6 +81,18 @@ def test_gen_random_is_seeded(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_text() == b.read_text()
+    # numpy's default_rng draws these bits; a change of generator would change the file
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "0c2d9f15e66ab9e78a611daac3f602c0b059c8b77dfebbaabf1f86a135ba08e5"
+    )
+
+
+def test_gen_refuses_a_negative_seed_naming_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "3", "--kind", "random", "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "argument --seed: seed=-1 is negative" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_constant(tmp_path, capsys):
@@ -469,6 +482,59 @@ def test_module_entry_point(tmp_path, child_env):
     )
     assert proc.returncode == 0
     assert "coloring=001" in proc.stdout
+
+
+# Each worker wraps the restart function it is sent, so a worker that has imported
+# numpy.random by the end of a restart fails it.  Two CPUs are reported, so --jobs 2
+# makes a pool on any host, and the pool count shows that workers were used.
+NO_NUMPY_RANDOM = '''\
+import os, sys
+from concurrent import futures
+from hjinterval.cli import main
+
+PROBE = """
+import sys
+from hjinterval import search
+restart = search._one_restart
+def probed(*args):
+    result = restart(*args)
+    assert "numpy.random" not in sys.modules, "a worker imported numpy.random"
+    return result
+search._one_restart = probed
+"""
+
+class ProbedPool(futures.ProcessPoolExecutor):
+    made = 0
+
+    def __init__(self, max_workers):
+        ProbedPool.made += 1
+        super().__init__(max_workers, initializer=exec, initargs=(PROBE, {}))
+
+futures.ProcessPoolExecutor = ProbedPool
+os.cpu_count = lambda: 2
+code = main(sys.argv[1:])
+assert "numpy.random" not in sys.modules, "the CLI process imported numpy.random"
+print(f"pools={ProbedPool.made}")
+sys.exit(code)
+'''
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_local_search_never_imports_numpy_random(tmp_path, child_env, jobs):
+    # numpy imports numpy.random lazily, at a cost of about 12 ms; local search draws
+    # from the standard library's random.Random instead, in the CLI and in its workers.
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, "search", "--mode", "local", "--n", "4",
+         "--jobs", str(jobs)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "outcome=avoider-found" in proc.stdout
+    assert f"pools={int(jobs > 1)}" in proc.stdout
 
 
 @pytest.mark.parametrize("n, message", [(30, "Unable to allocate"), (40, "")])
