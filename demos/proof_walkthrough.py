@@ -12,10 +12,10 @@ from hjinterval import (
     breakpoints,
     case_lemma_check,
     contract,
-    extract_line,
-    find_homogeneous_chain,
+    find_interval_line,
     gadget_lines,
     gadget_words,
+    homogeneous_colors,
     pattern_coloring,
     realize,
     render_certificate,
@@ -61,12 +61,13 @@ deep = [d for d, idx, _ in rows if idx == 5]
 print(f"\n{len(rows)} cases, all hit; only {deep} survive until L5\n")
 
 # -- from colouring to certificate -------------------------------------------
-# For a colouring that depends only on the contraction, the full pipeline is:
-# refine breakpoint candidates level by level (the Ramsey step, trivial in
-# this homogeneous world), then read the certified line off the case table.
+# The paper's pipeline has two steps: a Ramsey argument makes every seed
+# pattern homogeneous over some quadruple of cuts, then the case table names
+# a monochromatic line.  A colouring that depends only on the contraction is
+# homogeneous over every quadruple, so at desk scale the first step is one
+# test over the cuts 1, 2, 3, 4.
 
 coloring = pattern_coloring(5, (0, 1, 1, 0, 0))
-chain = find_homogeneous_chain(coloring)
-print("chain colours per level:", chain.colors)
-cert = extract_line(coloring, chain)
+print("colour per seed pattern:", homogeneous_colors(coloring, Quadruple(5, (1, 2, 3, 4))))
+cert = find_interval_line(coloring, method="pipeline")
 print(render_certificate(cert, method="pipeline"))

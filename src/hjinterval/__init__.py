@@ -41,23 +41,19 @@ from .cube import (
 from .gadgets import (
     SEED_LENGTHS,
     SEED_PATTERNS,
-    HomogeneityError,
-    HomogeneousChain,
     LineCertificate,
     Quadruple,
     bracket_word,
     case_lemma_check,
-    extract_line,
-    find_homogeneous_chain,
     find_interval_line,
     first_singleton_index,
     gadget_lines,
     gadget_words,
+    homogeneous_colors,
     induced_coloring,
     nsets,
     parse_certificate,
     pattern_coloring,
-    ramsey_refine,
     render_certificate,
 )
 from .patterns import Pattern, breakpoints, contract, realize

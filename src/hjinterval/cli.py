@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import time
@@ -70,6 +71,16 @@ def seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed={value} is negative: a gen seed must be >= 0")
+    return value
+
+
+def timeout(text: str) -> float:
+    """A solve --timeout: a finite number of seconds >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"timeout={text} is not a finite number of seconds >= 0"
+        )
     return value
 
 
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a SAT solver on a CNF file and decode the model")
     p.add_argument("--cnf", required=True)
     p.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV}, else built-in CDCL)")
-    p.add_argument("--timeout", type=float, help="seconds before giving up with status=unknown")
+    p.add_argument("--timeout", type=timeout, help="seconds before giving up with status=unknown")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-proof", help="check a DRUP refutation of a CNF file")

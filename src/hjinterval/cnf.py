@@ -165,7 +165,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     if n_vars is None:
         raise ValueError("missing DIMACS header")
     try:
-        lits = np.array(list(map(int, " ".join(body).split())), dtype=np.int64)
+        lits = np.array(" ".join(body).split(), dtype=np.int64)
     except OverflowError:
         raise ValueError("a literal outside the int64 range") from None
     if lits.size and lits[-1]:

@@ -12,17 +12,19 @@ shows some colour set is a singleton: that line is monochromatic.
 
 The module exposes the construction itself (:func:`gadget_words`,
 :func:`gadget_lines`, :func:`nsets`, :func:`case_lemma_check`), the
-Ramsey-style refinement that manufactures homogeneity at desk scale
-(:func:`induced_coloring`, :func:`ramsey_refine`), the line extractors
-(:func:`extract_line`, :func:`find_interval_line`), and the certificate
-file format used to report verified monochromatic lines.
+homogeneity test over one quadruple of cuts (:func:`induced_coloring`,
+:func:`homogeneous_colors`), the line finder
+(:func:`find_interval_line`), and the certificate file format used to
+report verified monochromatic lines.  The paper reaches homogeneity by
+a Ramsey argument on a huge ground set; at desk scale the pipeline route
+only tests it over the cuts (1, 2, 3, 4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -222,85 +224,24 @@ def induced_coloring(
     }
 
 
-def ramsey_refine(
-    ground: Iterable[int], subset_coloring: Mapping[tuple[int, ...], int], t: int, target: int
-) -> tuple[tuple[int, ...], int] | None:
-    """Search for a target-size subset all of whose t-subsets share a colour.
+def homogeneous_colors(coloring: Coloring, quad: Quadruple) -> ColorVector | None:
+    """The colour of each seed pattern over the quadruple's cuts, if it has one.
 
-    Runs a depth-first scan in lexicographic order, growing candidate
-    subsets element by element and abandoning a branch as soon as two of
-    its t-subsets disagree, so the returned subset is the
-    lexicographically least homogeneous one.  Returns (subset, colour)
-    or None when no homogeneous subset of that size exists; meant for
-    ground sets of a couple dozen elements, not for asymptotics.
+    Returns d when, for every seed pattern p, each word with contraction p
+    and breakpoints among quad.cuts has colour d[p]; None when some seed
+    pattern takes both colours there.  This is the homogeneity the case
+    analysis needs: with it, line first_singleton_index(d) of
+    gadget_lines(quad) is monochromatic.
     """
-    elems = tuple(sorted(set(ground)))
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if target < t:
-        raise ValueError(f"target {target} below subset size {t}")
-    if target > len(elems):
-        return None
-
-    def colour_of(key: tuple[int, ...]) -> int:
-        try:
-            return subset_coloring[key]
-        except KeyError as exc:
-            raise ValueError(f"subset colouring missing {key}") from exc
-
-    def grow(start: int, chosen: list[int], colour: int | None):
-        if len(chosen) == target:
-            return tuple(chosen), colour
-        # Leave room for the remaining picks.
-        for pos in range(start, len(elems) - (target - len(chosen)) + 1):
-            e = elems[pos]
-            new_colour = colour
-            ok = True
-            if len(chosen) >= t - 1:
-                for rest in itertools.combinations(chosen, t - 1):
-                    c = colour_of(tuple(sorted(rest + (e,))))
-                    if new_colour is None:
-                        new_colour = c
-                    elif c != new_colour:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            chosen.append(e)
-            hit = grow(pos + 1, chosen, new_colour)
-            chosen.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    # A full subset holds at least one t-subset (target >= t), so its colour is set.
-    return grow(0, [], None)
-
-
-@dataclass(frozen=True)
-class HomogeneousChain:
-    """Nested ground sets T0 <= T1 <= ... <= T5 with one colour per level.
-
-    Level i (1-based) promises that every breakpoint choice for seed
-    pattern i inside sets[i-1] yields colour colors[i-1].
-    """
-
-    sets: tuple[tuple[int, ...], ...]
-    colors: ColorVector
-
-    def __post_init__(self) -> None:
-        if len(self.sets) != 6:
-            raise ValueError("chain needs six ground sets")
-        _check_color_vector(self.colors)
-        for small, big in zip(self.sets, self.sets[1:]):
-            if not set(small) <= set(big):
-                raise ValueError(f"chain sets not nested: {small} not within {big}")
-        if len(self.sets[0]) < MIN_GROUND_SIZE:
-            raise ValueError(f"innermost set needs {MIN_GROUND_SIZE} elements")
-
-
-class HomogeneityError(ValueError):
-    """A chain's homogeneity promise fails on a concrete pair of subsets."""
+    if coloring.n != quad.n:
+        raise ValueError(f"colouring of n={coloring.n} against cuts of n={quad.n}")
+    d = []
+    for i in range(1, 6):
+        colours = set(induced_coloring(coloring, i, quad.cuts).values())
+        if len(colours) != 1:
+            return None
+        d.extend(colours)
+    return tuple(d)
 
 
 # --- certificates ------------------------------------------------------------
@@ -392,57 +333,6 @@ def parse_certificate(text: str) -> LineCertificate | None:
 # --- line extraction ---------------------------------------------------------
 
 
-def extract_line(coloring: Coloring, chain: HomogeneousChain) -> LineCertificate:
-    """Turn a verified homogeneous chain into a monochromatic line certificate.
-
-    First re-checks every level's homogeneity promise (raising
-    :class:`HomogeneityError` naming the level and a disagreeing pair of
-    subsets on failure), then builds the construction over the four
-    smallest elements of the innermost set and certifies the candidate
-    line whose colour set is a singleton.
-    """
-    for i in range(1, 6):
-        level = induced_coloring(coloring, i, chain.sets[i - 1])
-        want = chain.colors[i - 1]
-        bad = next((A for A, c in level.items() if c != want), None)
-        if bad is not None:
-            good = next((A for A, c in level.items() if c == want), None)
-            raise HomogeneityError(
-                f"level {i} not homogeneous: subset {bad} has colour {level[bad]}, "
-                f"expected {want}" + (f" (as on subset {good})" if good else "")
-            )
-    quad = Quadruple(coloring.n, tuple(sorted(chain.sets[0]))[:4])
-    idx = first_singleton_index(chain.colors)
-    return _certified(coloring, gadget_lines(quad)[idx - 1])
-
-
-def find_homogeneous_chain(coloring: Coloring) -> HomogeneousChain | None:
-    """Refine 1..n-1 level by level until every seed pattern is homogeneous.
-
-    Works from the longest seed pattern down to the shortest, shrinking
-    the ground set to :data:`MIN_GROUND_SIZE` elements at each level with
-    :func:`ramsey_refine`.  At desk scale the refinement often simply
-    fails; that is reported as None, not an error.  Every level targets
-    four elements, and any 4-set is homogeneous for the 4-uniform level
-    5, so it always returns (1, 2, 3, 4): a chain, when one is found,
-    holds that set as sets[0] to sets[4].
-    """
-    n = coloring.n
-    if n - 1 < MIN_GROUND_SIZE:
-        return None
-    sets: list[tuple[int, ...] | None] = [None] * 6
-    colors: list[int | None] = [None] * 5
-    sets[5] = tuple(range(1, n))
-    for i in range(5, 0, -1):
-        size = SEED_LENGTHS[i - 1] - 1
-        level = induced_coloring(coloring, i, sets[i])
-        hit = ramsey_refine(sets[i], level, size, max(MIN_GROUND_SIZE, size))
-        if hit is None:
-            return None
-        sets[i - 1], colors[i - 1] = hit
-    return HomogeneousChain(tuple(sets), tuple(colors))
-
-
 def find_interval_line(
     coloring: Coloring, method: str = "direct"
 ) -> LineCertificate | None:
@@ -451,8 +341,10 @@ def find_interval_line(
     direct    scan every interval line; None is a proof of absence.
     gadget    test the five candidate lines over every quadruple of
               cuts; cheap, but None only means this route saw nothing.
-    pipeline  refine to a homogeneous chain, then extract; None again
-              just means the refinement fizzled at this size.
+    pipeline  the paper's two steps at desk scale: test that every seed
+              pattern is homogeneous over the cuts 1..4, then certify
+              the line the case analysis picks; None again only means
+              the colouring is not homogeneous there (or n < 5).
 
     Whatever the route, a returned certificate has been re-verified
     against the colouring point by point.
@@ -470,10 +362,13 @@ def find_interval_line(
                     return _certified(coloring, line)
         return None
     if method == "pipeline":
-        chain = find_homogeneous_chain(coloring)
-        if chain is None:
+        if n < 5:
             return None
-        return extract_line(coloring, chain)
+        quad = Quadruple(n, (1, 2, 3, 4))
+        d = homogeneous_colors(coloring, quad)
+        if d is None:
+            return None
+        return _certified(coloring, gadget_lines(quad)[first_singleton_index(d) - 1])
     raise ValueError(f"unknown method {method!r}")
 
 

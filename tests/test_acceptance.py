@@ -21,10 +21,9 @@ from hjinterval.cube import (
 from hjinterval.gadgets import (
     Quadruple,
     case_lemma_check,
-    extract_line,
-    find_homogeneous_chain,
     find_interval_line,
     gadget_lines,
+    homogeneous_colors,
     nsets,
     pattern_coloring,
 )
@@ -124,10 +123,9 @@ def test_homogeneous_world(criterion):
             c = pattern_coloring(5, d)
             via_gadget = find_interval_line(c, method="gadget")
             assert via_gadget is not None and via_gadget.verify(c)
-            chain = find_homogeneous_chain(c)
-            assert chain is not None
-            cert = extract_line(c, chain)
-            assert cert.verify(c)
+            assert homogeneous_colors(c, Quadruple(5, (1, 2, 3, 4))) == d
+            cert = find_interval_line(c, method="pipeline")
+            assert cert is not None and cert.verify(c)
         assert time.perf_counter() - start < 1.0
 
 

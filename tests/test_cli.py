@@ -143,6 +143,34 @@ def test_find_line_gadget_miss_is_inconclusive(tmp_path, capsys):
     assert out.startswith("NONE method=gadget")
 
 
+def test_find_line_pipeline_certificate(tmp_path, capsys):
+    src = tmp_path / "c.hjc"
+    run_cli(capsys, "gen", "--n", "5", "--kind", "pattern", "--d", "01100", "--out", str(src))
+    code, out, _ = run_cli(capsys, "find-line", "--coloring", str(src), "--method", "pipeline")
+    assert code == 0
+    assert out == (
+        "MONO-LINE n=5 color=0 active=3..3 fixed=1:1,2:3,4:3,5:2\n"
+        "W1 13132\nW2 13232\nW3 13332\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "gen_args",
+    [
+        # n=4 has no cuts 1..4
+        ("--n", "4", "--kind", "pattern", "--d", "01100"),
+        # seed pattern 132 takes both colours over the cuts 1..4
+        ("--n", "8", "--kind", "random", "--seed", "0"),
+    ],
+)
+def test_find_line_pipeline_miss_is_inconclusive(tmp_path, capsys, gen_args):
+    src = tmp_path / "c.hjc"
+    run_cli(capsys, "gen", *gen_args, "--out", str(src))
+    code, out, _ = run_cli(capsys, "find-line", "--coloring", str(src), "--method", "pipeline")
+    assert code == 1
+    assert out == "NONE method=pipeline\n"
+
+
 def test_find_line_missing_file(capsys):
     code, _, err = run_cli(capsys, "find-line", "--coloring", "no-such-file.hjc")
     assert code == 2
@@ -403,6 +431,22 @@ def test_solve_proof_check_honours_timeout(tmp_path, capsys, monkeypatch):
     assert "status=unknown" in out and "status=unsat" not in out
     assert "proof=" not in out
     assert f"diagnostics=the refutation is unchecked: the time limit passed with 0 of {lemmas} lemmas" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400", "-1"])
+@pytest.mark.parametrize("external", [False, True])
+def test_solve_refuses_a_timeout_that_is_not_finite_and_nonnegative(
+    tmp_path, capsys, toy_solver, value, external
+):
+    cnf_path = tmp_path / "n2.cnf"
+    write_dimacs_file(encode(2), str(cnf_path))
+    solver = ("--solver", toy_solver) if external else ()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--cnf", str(cnf_path), *solver, "--timeout", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --timeout: timeout={value} is not a finite number" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,10 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
             "bound_tower.py",
             ["n0 = 4", "R3(5,5) has 6396 digits", "compose: R4(R3(20,20),10)+1"],
         ),
-        ("proof_walkthrough.py", ["32 cases, all hit"]),
+        (
+            "proof_walkthrough.py",
+            ["32 cases, all hit", "MONO-LINE n=5 color=0 active=3..3 fixed=1:1,2:3,4:3,5:2"],
+        ),
         ("sat_frontier.py", ["c line 1..1 fixed=-", "n=5: unsat", "checked"]),
         (
             "small_cube_search.py",

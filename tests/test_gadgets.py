@@ -4,31 +4,27 @@ import time
 
 import pytest
 
-from hjinterval.cube import Coloring, Line, Word, enumerate_m_interval_lines, is_monochromatic
+from hjinterval.cube import Coloring, Line, Word, enumerate_m_interval_lines, is_monochromatic, rank
 from hjinterval.gadgets import (
     MIN_GROUND_SIZE,
     SEED_LENGTHS,
     SEED_PATTERNS,
-    HomogeneityError,
-    HomogeneousChain,
     LineCertificate,
     Quadruple,
     bracket_word,
     case_lemma_check,
-    extract_line,
-    find_homogeneous_chain,
     find_interval_line,
     first_singleton_index,
     gadget_lines,
     gadget_words,
+    homogeneous_colors,
     induced_coloring,
     nsets,
     parse_certificate,
     pattern_coloring,
-    ramsey_refine,
     render_certificate,
 )
-from hjinterval.patterns import contract
+from hjinterval.patterns import contract, realize
 
 UNIT_QUAD = Quadruple(5, (1, 2, 3, 4))
 
@@ -246,65 +242,78 @@ def test_induced_coloring_keys_are_t_subsets():
     assert set(mapping) == set(itertools.combinations((1, 2, 3, 4), 3))
 
 
-def test_ramsey_refine_parity_pairs():
-    parity = {s: (s[0] + s[1]) % 2 for s in itertools.combinations(range(1, 6), 2)}
-    assert ramsey_refine(range(1, 6), parity, 2, 3) == ((1, 3, 5), 0)
-
-
-def test_ramsey_refine_pentagon_has_no_triangle():
-    edges = {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)}
-    color = {s: int(s in edges) for s in itertools.combinations(range(1, 6), 2)}
-    assert ramsey_refine(range(1, 6), color, 2, 3) is None
-
-
-def test_ramsey_refine_accepts_mapping():
-    ground = (1, 2, 3, 4)
-    mapping = {s: 0 for s in itertools.combinations(ground, 2)}
-    assert ramsey_refine(ground, mapping, 2, 3) == ((1, 2, 3), 0)
-
-
-def test_ramsey_refine_target_larger_than_ground():
-    assert ramsey_refine((1, 2), {(1, 2): 0}, 2, 3) is None
-
-
-def test_ramsey_refine_rejects_missing_subset():
-    with pytest.raises(ValueError, match="missing"):
-        ramsey_refine((1, 2, 3), {(1, 2): 0}, 2, 3)
-
-
-def test_find_homogeneous_chain_on_pattern_coloring():
-    c = pattern_coloring(5, (0, 1, 1, 0, 0))
-    chain = find_homogeneous_chain(c)
-    assert chain is not None
-    assert chain.colors == (0, 1, 1, 0, 0)
-    assert chain.sets == ((1, 2, 3, 4),) * 6
-
-
-def test_chain_sets_are_nested():
-    c = pattern_coloring(6, (1, 0, 0, 1, 1))
-    chain = find_homogeneous_chain(c)
-    assert chain is not None
-    for small, big in zip(chain.sets, chain.sets[1:]):
-        assert set(small) <= set(big)
-    assert all(len(s) >= MIN_GROUND_SIZE for s in chain.sets)
-
-
 def test_extract_line_certifies_singleton_level():
     c = pattern_coloring(5, (0, 1, 1, 0, 0))
-    chain = find_homogeneous_chain(c)
-    cert = extract_line(c, chain)
+    assert homogeneous_colors(c, UNIT_QUAD) == (0, 1, 1, 0, 0)
+    cert = find_interval_line(c, method="pipeline")
     assert cert.color == 0
     assert (cert.line.lo, cert.line.hi) == (3, 3)
     assert tuple(str(w) for w in cert.line.points()) == ("13132", "13232", "13332")
     assert cert.verify(c)
 
 
-def test_extract_line_rejects_lying_chain():
-    # a chain whose promised colours do not match the colouring must be caught
-    c = pattern_coloring(5, (0, 1, 1, 0, 0))
-    bad = HomogeneousChain(sets=((1, 2, 3, 4),) * 6, colors=(1, 0, 0, 1, 1))
-    with pytest.raises(HomogeneityError):
-        extract_line(c, bad)
+def test_homogeneous_colors_rejects_one_flipped_bracket_word():
+    d = (0, 1, 1, 0, 0)
+    bits = pattern_coloring(5, d).bits.copy()
+    bits[rank(gadget_words(UNIT_QUAD)["w2"])] ^= 1
+    assert homogeneous_colors(Coloring(5, bits), UNIT_QUAD) is None
+
+
+def test_homogeneous_colors_needs_matching_n():
+    with pytest.raises(ValueError, match="n=6"):
+        homogeneous_colors(pattern_coloring(6, (0, 0, 0, 0, 0)), UNIT_QUAD)
+
+
+def _pipeline_reference(c):
+    """The pipeline's line, worked out from the seed patterns directly: when
+    each seed pattern takes one colour on the words with breakpoints among
+    the cuts 1..4, the first monochromatic candidate line over those cuts."""
+    if c.n < 5:
+        return None
+    for p in SEED_PATTERNS:
+        subsets = itertools.combinations((1, 2, 3, 4), len(p) - 1)
+        if len({c.get(realize(p, A, c.n)) for A in subsets}) != 1:
+            return None
+    lines = gadget_lines(Quadruple(c.n, (1, 2, 3, 4)))
+    return next(line for line in lines if is_monochromatic(c, line))
+
+
+def _homogenized(c, d, skip):
+    """c with every word over the cuts 1..4 recoloured to its seed pattern's
+    colour in d, except the words of seed pattern number `skip`."""
+    bits = c.bits.copy()
+    for k, (p, colour) in enumerate(zip(SEED_PATTERNS, d), start=1):
+        for A in itertools.combinations((1, 2, 3, 4), len(p) - 1):
+            if k != skip:
+                bits[rank(realize(p, A, c.n))] = colour
+    return Coloring(c.n, bits)
+
+
+def _pipeline_cases(n):
+    for d in itertools.product((0, 1), repeat=5):
+        yield pattern_coloring(n, d)
+    for colour in (0, 1):
+        yield Coloring.constant(n, colour)
+    for seed in range(4):
+        yield Coloring.random(n, seed)
+        rng = random.Random(seed)
+        yield Coloring.from_bits(n, (rng.getrandbits(1) for _ in range(3**n)))
+        if n >= 5:
+            # seed 0 forces every seed pattern, seeds 1..3 leave pattern 1..3 free
+            d = [rng.getrandbits(1) for _ in range(5)]
+            yield _homogenized(Coloring.random(n, seed), d, skip=seed)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pipeline_matches_independent_reference(n):
+    for c in _pipeline_cases(n):
+        want = _pipeline_reference(c)
+        cert = find_interval_line(c, method="pipeline")
+        if want is None:
+            assert cert is None, c
+        else:
+            assert cert is not None and cert.line == want, c
+            assert cert.color == c.get(want.word_at(1))
 
 
 def test_find_interval_line_direct_constant():
