@@ -189,6 +189,8 @@ def test_local_search_deterministic():
         (4, 7, 40000, OUTCOME_FOUND, 0, 1250, 6, "c509d7462879b857"),
         (5, 1, 15000, OUTCOME_INCONCLUSIVE, 4, 2794, 3, "3fa7b70623a74248"),
         (6, 3, 2187, OUTCOME_INCONCLUSIVE, 30, 2187, 1, "276190dde39a2718"),
+        # this restart ends by the sideways rule, the longest sideways path pinned here
+        (6, 2, 21870, OUTCOME_INCONCLUSIVE, 23, 6978, 1, "90886bf628ac1dbd"),
     ],
 )
 def test_local_search_reports_are_pinned(n, seed, budget, outcome, violations, flips, restarts, digest):
