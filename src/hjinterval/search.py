@@ -7,8 +7,9 @@ whether it can be 0; each UNSAT answer counts only once its DRUP proof
 has been checked.  The local one is steepest descent on the violation
 count with sideways moves and restarts seeded into ``random.Random``; it
 keeps each line's count of ones and each cell's flip score in Python
-lists, so a flip touches only the lines through its cell, and files the
-cells in one bucket per score, so the best flip needs no scan.  Either
+lists, so a flip touches only the lines through its cell.  Only the cells
+whose flip adds no violation are filed, in one ascending list per score,
+so the best flip needs no scan and a sideways pick needs no sort.  Either
 way, the reported count is re-checked by a direct scan.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_left, insort
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -160,10 +162,14 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     start bit per cell in rank order, then each sideways pick.  Line counts
     and flip scores are counted once with numpy, then kept in Python lists:
     a flip moves the counts of the lines through its cell and rescores only
-    their other members.  Each score has a bucket of cells and a floor at or
-    below the lowest non-empty one: a rescore below the floor lowers it, and
-    the next choice raises it past empty buckets.  An improving flip takes
-    the least cell of the lowest bucket, a sideways one a random pick of it.
+    their other members.  Only a cell whose flip adds no violation is filed,
+    a score s <= 0 in ``buckets[-s]``, a list kept ascending; so a rescore
+    touches a bucket only when its old or new score is <= 0.  ``top`` is at
+    or above the highest non-empty bucket: a rescore above it raises it, and
+    the next choice lowers it past empty buckets.  An improving flip takes
+    the least cell of the top bucket, a sideways one the cell at a random
+    index of bucket 0; with no bucket left, the restart is at a strict
+    local minimum.
     """
     size = 3**n
     members = interval_line_members(n)
@@ -175,13 +181,13 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     violations = int(np.count_nonzero((twice == 0) | (twice == 6)))
     delta = np.bincount(members.ravel(), _GAIN[twice[:, None] + cols].ravel(), size)
     # score[c]: the change in violations if cell c flips, at most reach (the most lines
-    # through a cell) either way.  A negative score indexes buckets from the end.
+    # through a cell) either way.
     twice, score = twice.tolist(), delta.astype(int).tolist()
-    reach = max(map(len, through))
-    buckets: list[set[int]] = [set() for _ in range(2 * reach + 1)]
+    top = max(map(len, through))
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for cell, s in enumerate(score):
-        buckets[s].add(cell)
-    floor = min(score)
+        if s <= 0:
+            buckets[-s].append(cell)
     best = members.shape[0] + 1
     flips = sideways = 0
     while True:
@@ -189,21 +195,20 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
             best, best_bits = violations, bits[:]
         if violations == 0 or flips == max_flips:
             break
-        while not buckets[floor]:
-            floor += 1
-        lowest = floor
-        if lowest > 0:
+        while top >= 0 and not buckets[top]:
+            top -= 1
+        if top < 0:
             break
-        bucket = buckets[lowest]
-        if lowest == 0:
+        gain, bucket = top, buckets[top]
+        if gain == 0:
             sideways += 1
             if sideways > 2 * size:
                 break
-            cell = rng.choice(sorted(bucket))
+            cell = rng.choice(bucket)
+            del bucket[bisect_left(bucket, cell)]
         else:
             sideways = 0
-            cell = min(bucket)
-        bucket.remove(cell)
+            cell = bucket.pop(0)
         b = bits[cell]
         bits[cell] = 1 - b
         step = 2 - 4 * b
@@ -213,17 +218,26 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
             twice[line] = old + step
             s = score[u]
             score[u] = su = s + rescore[old + bits[u]]
-            buckets[s].remove(u)
-            buckets[su].add(u)
+            if s <= 0:
+                lst = buckets[-s]
+                del lst[bisect_left(lst, u)]
+            if su <= 0:
+                insort(buckets[-su], u)
+                if -su > top:
+                    top = -su
             s = score[v]
             score[v] = sv = s + rescore[old + bits[v]]
-            buckets[s].remove(v)
-            buckets[sv].add(v)
-            if su < floor or sv < floor:
-                floor = min(su, sv)
-        score[cell] = -lowest  # flipping it back would undo the move
-        buckets[-lowest].add(cell)
-        violations += lowest
+            if s <= 0:
+                lst = buckets[-s]
+                del lst[bisect_left(lst, v)]
+            if sv <= 0:
+                insort(buckets[-sv], v)
+                if -sv > top:
+                    top = -sv
+        score[cell] = gain  # flipping it back would undo the move
+        if gain == 0:
+            insort(bucket, cell)
+        violations -= gain
         flips += 1
     return best, np.array(best_bits, dtype=np.uint8), flips
 
