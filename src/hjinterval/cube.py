@@ -290,13 +290,13 @@ class Coloring:
     def __init__(self, n: int, bits: np.ndarray):
         if n < 1:
             raise ValueError("n must be >= 1")
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits)
         if bits.shape != (3**n,):
             raise ValueError(f"expected {3 ** n} cells for n={n}, got shape {bits.shape}")
-        if bits.size and int(bits.max()) > 1:
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("colours must be 0 or 1")
         self.n = n
-        self._bits = bits
+        self._bits = bits.astype(np.uint8)  # a private copy, so no caller's view can change it
         self._bits.setflags(write=False)
 
     @property
@@ -312,10 +312,6 @@ class Coloring:
     @classmethod
     def from_bits(cls, n: int, values: Iterable[int]) -> "Coloring":
         return cls(n, np.fromiter(values, dtype=np.uint8, count=3**n))
-
-    @classmethod
-    def from_function(cls, n: int, fn: Callable[[Word], int]) -> "Coloring":
-        return cls.from_bits(n, (fn(unrank(i, n)) for i in range(3**n)))
 
     @classmethod
     def random(cls, n: int, seed: int) -> "Coloring":

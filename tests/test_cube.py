@@ -185,8 +185,13 @@ def test_coloring_basics():
     assert len({d, Coloring.from_bits(2, list(map(int, d.bitstring)))}) == 1
 
 
+def coloring_from_function(n, fn):
+    """The colouring that gives each word the colour fn(word)."""
+    return Coloring.from_bits(n, (fn(unrank(r, n)) for r in range(3**n)))
+
+
 def test_coloring_from_function():
-    c = Coloring.from_function(2, lambda w: w[1] % 2)
+    c = coloring_from_function(2, lambda w: w[1] % 2)
     for r in range(9):
         assert c.bits[r] == unrank(r, 2)[1] % 2
 
@@ -201,6 +206,29 @@ def test_coloring_rejects_bad_bits():
         Coloring.from_bits(2, [0] * 8)
     with pytest.raises(ValueError):
         Coloring.from_bits(1, [0, 2, 0])
+
+
+def test_coloring_leaves_the_callers_array_writable():
+    bits = np.zeros(9, np.uint8)
+    Coloring(2, bits)
+    bits[0] = 1
+    assert bits[0] == 1
+
+
+def test_coloring_is_not_changed_through_an_earlier_view():
+    bits = np.zeros(9, np.uint8)
+    view = bits[:]
+    c = Coloring(2, bits)
+    before = hash(c)
+    view[0] = 1
+    assert c.bitstring == "000000000"
+    assert hash(c) == before
+
+
+def test_coloring_checks_colours_before_narrowing_them():
+    # 256 would wrap to 0 as a uint8
+    with pytest.raises(ValueError, match="0 or 1"):
+        Coloring(1, np.array([0, 256, 1], dtype=np.int64))
 
 
 def test_is_monochromatic():
@@ -235,7 +263,7 @@ def test_symmetry_inverse_and_compose():
 
 
 def test_apply_symmetry_reversal():
-    c = Coloring.from_function(2, lambda w: 1 if str(w) == "12" else 0)
+    c = coloring_from_function(2, lambda w: 1 if str(w) == "12" else 0)
     img = apply_symmetry(c, Symmetry(reverse=True))
     hot = [str(unrank(r, 2)) for r in range(9) if img.bits[r] == 1]
     assert hot == ["21"]

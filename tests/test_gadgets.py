@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hjinterval.cube import Coloring, Line, Word, enumerate_m_interval_lines, is_monochromatic, rank
+from hjinterval.cube import Coloring, Line, Word, enumerate_m_interval_lines, is_monochromatic, rank, unrank
 from hjinterval.gadgets import (
     MIN_GROUND_SIZE,
     SEED_LENGTHS,
@@ -207,7 +207,7 @@ def test_pattern_coloring_values():
 def _pattern_coloring_reference(n, d):
     """Contract every word one by one and look its contraction up among the seeds."""
     table = {p.letters: d[i] for i, p in enumerate(SEED_PATTERNS)}
-    return Coloring.from_function(n, lambda w: table.get(contract(w).letters, d[0]))
+    return Coloring.from_bits(n, (table.get(contract(unrank(r, n)).letters, d[0]) for r in range(3**n)))
 
 
 def test_pattern_coloring_matches_contraction_reference():
@@ -220,8 +220,6 @@ def test_pattern_coloring_is_contraction_invariant():
     c = pattern_coloring(5, (1, 0, 1, 0, 1))
     seen = {}
     for r in range(3**5):
-        from hjinterval.cube import unrank
-
         w = unrank(r, 5)
         key = str(contract(w))
         seen.setdefault(key, c.get(w))
