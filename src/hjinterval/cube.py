@@ -293,11 +293,12 @@ class Coloring:
         bits = np.asarray(bits)
         if bits.shape != (3**n,):
             raise ValueError(f"expected {3 ** n} cells for n={n}, got shape {bits.shape}")
-        if not ((bits == 0) | (bits == 1)).all():
+        colours = bits.astype(np.uint8)  # a private copy, so no caller's view can change it
+        if colours.max() > 1 or (bits.dtype != np.uint8 and (colours != bits).any()):
             raise ValueError("colours must be 0 or 1")
+        colours.setflags(write=False)
         self.n = n
-        self._bits = bits.astype(np.uint8)  # a private copy, so no caller's view can change it
-        self._bits.setflags(write=False)
+        self._bits = colours
 
     @property
     def bits(self) -> np.ndarray:

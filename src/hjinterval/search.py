@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import os
 import random
-from bisect import bisect_left, insort
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -180,8 +180,8 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     twice = 2 * cols.sum(1, dtype=np.int8)  # twice each line's count of ones
     violations = int(np.count_nonzero((twice == 0) | (twice == 6)))
     delta = np.bincount(members.ravel(), _GAIN[twice[:, None] + cols].ravel(), size)
-    # score[c]: the change in violations if cell c flips, at most reach (the most lines
-    # through a cell) either way.
+    # score[c]: the change in violations if cell c flips, at most the most lines through
+    # a cell either way, so top starts there.
     twice, score = twice.tolist(), delta.astype(int).tolist()
     top = max(map(len, through))
     buckets: list[list[int]] = [[] for _ in range(top + 1)]

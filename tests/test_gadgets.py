@@ -207,7 +207,8 @@ def test_pattern_coloring_values():
 def _pattern_coloring_reference(n, d):
     """Contract every word one by one and look its contraction up among the seeds."""
     table = {p.letters: d[i] for i, p in enumerate(SEED_PATTERNS)}
-    return Coloring.from_bits(n, (table.get(contract(unrank(r, n)).letters, d[0]) for r in range(3**n)))
+    words = (unrank(r, n) for r in range(3**n))
+    return Coloring.from_bits(n, (table.get(contract(w).letters, d[0]) for w in words))
 
 
 def test_pattern_coloring_matches_contraction_reference():
