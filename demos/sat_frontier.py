@@ -11,13 +11,13 @@
 from hjinterval import (
     decode_model,
     encode,
-    enumerate_m_interval_lines,
-    is_monochromatic,
+    mono_mask,
     solve_builtin,
     tower,
     violation_count,
     write_dimacs,
 )
+from hjinterval.cube import m_interval_line_members
 from hjinterval.drup import check_proof
 
 # -- how the encoding grows --------------------------------------------------
@@ -69,7 +69,7 @@ print()
 inst2 = encode(3, m=2)
 outcome2 = solve_builtin(inst2)
 coloring2 = decode_model(outcome2.model, 3, m=2)
-mono = sum(is_monochromatic(coloring2, l) for l in enumerate_m_interval_lines(3, 2))
+mono = int(mono_mask(coloring2.bits, m_interval_line_members(3, 2)).sum())
 print(f"n=3, active sets of up to 2 runs: {len(inst2.clauses)} clauses, "
       f"{outcome2.status}, {mono} monochromatic lines in the decoded colouring")
 

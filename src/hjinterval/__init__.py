@@ -28,7 +28,6 @@ from .cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
-    enumerate_m_interval_lines,
     interval_line,
     is_monochromatic,
     line_at_row,

@@ -21,19 +21,19 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .cube import (
+    ALPHABET,
     Coloring,
     is_count,
     line_at_row,
-    m_interval_blocks,
+    line_names,
+    m_interval_active_sets,
     m_interval_line_members,
     mono_mask,
-    runs_of,
 )
 
 # First word of the DIMACS comment that names an encoded instance's family.
@@ -55,14 +55,15 @@ class CnfInstance:
         rows = np.asarray(self.clauses, dtype=np.int64)
         if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
             raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
-        # Clause k is well formed when its first count[k] entries, and only they, are literals.
+        # Clause k is well formed when it starts with a literal and no literal follows a 0.
+        # Whole-array tests first: numpy reduces a short row many times slower.
         live = rows != 0
-        count = live.sum(1)
-        bad = (count == 0) | (live != (np.arange(rows.shape[1]) < count[:, None])).any(1)
-        if bad.any():
+        gaps = live[:, 1:] > live[:, :-1]
+        if np.count_nonzero(live[:, :1]) < len(rows) or gaps.any():
+            bad = ~live[:, :1].any(1) | gaps.any(1)
             raise ValueError(f"clause {bad.argmax()} is empty or has a 0 before its last literal")
-        beyond = np.abs(rows) > self.n_vars
-        if beyond.any():
+        if rows.size and (rows.max() > self.n_vars or rows.min() < -self.n_vars):
+            beyond = (rows > self.n_vars) | (rows < -self.n_vars)
             raise ValueError(f"literal {rows[beyond][0]} outside +-1..{self.n_vars}")
         object.__setattr__(self, "clauses", rows.astype(np.int32))
         self.clauses.setflags(write=False)
@@ -78,26 +79,20 @@ class CnfInstance:
         return [tuple(filter(None, row)) for row in self.clauses.tolist()]
 
 
-_pin_text = "{}:{}".format  # a fixed pair (p, v) in a line's name
-
-
-def _line_names(active: tuple[int, ...], rows: Iterable[Iterable[str]]) -> list[str]:
-    """Names of lines with one active set, from each line's pinned texts:
-    "line 1..2+4..4 fixed=3:1,5:2"."""
-    head = "line " + "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active)) + " fixed="
-    return [head + (",".join(pins) or "-") for pins in rows]
-
-
 def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
     """Encode "some colouring of the n-cube avoids all m-interval lines".
 
     With sym_break, one unit clause pins the rank-0 cell to colour 0;
     that is sound because the colour swap maps avoiders to avoiders.
     """
-    lits = m_interval_line_members(n, m) + 1
-    rows = np.stack((lits, -lits), axis=1).reshape(-1, 3)
+    members = m_interval_line_members(n, m)
+    rows = np.empty((2 * len(members) + bool(sym_break), 3), dtype=np.int32)
+    lits = rows[: 2 * len(members) : 2]
+    # Exact in int32 for n <= 19; CnfInstance refuses the 3**n variables of any larger n.
+    np.add(members, 1, out=lits, casting="same_kind")
+    np.negative(lits, out=rows[1 : 2 * len(members) : 2])
     if sym_break:
-        rows = np.vstack((rows, (-1, 0, 0)))
+        rows[-1] = (-1, 0, 0)
     return CnfInstance(3**n, rows, family=(n, m, bool(sym_break)))
 
 
@@ -120,8 +115,9 @@ def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
         n, m, sym_break = instance.family
         yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
         if len(rows) == 2 * len(m_interval_line_members(n, m)) + sym_break:
-            blocks = starmap(_line_names, m_interval_blocks(n, m, _pin_text))
-            names = [f"c {name}\n" for block in blocks for name in block]
+            for active in m_interval_active_sets(n, m):
+                pins = [(p, ALPHABET) for p in range(1, n + 1) if p not in active]
+                names += line_names(active, pins, ("c ", "\n"))
             names += ["c symmetry-break rank0=0\n"] * sym_break
     # words[top + v] is literal v's text ("" for the padding 0): like the solver's
     # per-variable lists, it takes memory in proportion to the largest variable.
@@ -478,6 +474,6 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     hits = np.flatnonzero(mono_mask(coloring.bits, m_interval_line_members(n, m)))
     if hits.size:
         line = line_at_row(n, int(hits[0]), m)
-        name = _line_names(line.active, [starmap(_pin_text, line.fixed)])[0]
+        name = line_names(line.active, [(p, (v,)) for p, v in line.fixed])[0]
         raise EncoderBugError(f"decoded model leaves {name} monochromatic")
     return coloring

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -154,6 +154,25 @@ def runs_of(coords: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
+def line_names(
+    active: tuple[int, ...], pins: Iterable[tuple[int, Iterable[int]]], frame: tuple[str, str] = ("", "")
+) -> list[str]:
+    """Names "line 1..2+4..4 fixed=3:1,5:2" of lines with one active set, each framed as
+    frame[0] + name + frame[1]: one for each choice of a letter at every pinned (position,
+    letters), the last position fastest, which with all of ALPHABET at every pinned position
+    is the row order of :func:`m_interval_line_members`."""
+    texts = [[f"{p}:{v}," for v in letters] for p, letters in pins] or [["-,"]]
+    # The head joins the first pin's texts and the frame's end replaces the last one's comma,
+    # so the product below makes each name with one concatenation per pinned position.
+    head = frame[0] + "line " + "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active)) + " fixed="
+    texts[0] = [head + t for t in texts[0]]
+    texts[-1] = [t[:-1] + frame[1] for t in texts[-1]]
+    names = texts[0]
+    for column in texts[1:]:
+        names = [name + t for name in names for t in column]
+    return names
+
+
 def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None) -> Line:
     """Build the interval line with active set lo..hi and the given fixed letters."""
     if not 1 <= lo <= hi <= n:
@@ -175,35 +194,10 @@ def _fixed_from_rank(positions: tuple[int, ...], fr: int) -> tuple[tuple[int, in
     return tuple(zip(positions, digits))
 
 
-def enumerate_m_interval_lines(n: int, m: int = 1) -> Iterator[Line]:
-    """All lines whose active set splits into at most m maximal intervals.
-
-    Active sets come in lexicographic order (for m = 1: by lo, then hi),
-    then pinned letters by fixed-part rank, which reads them in
-    increasing coordinate order as base-3 digits; the rows of
-    :func:`m_interval_line_members` follow the same order.  With m = 1
-    these are the interval lines, with m = n every combinatorial line of
-    the cube.  This is the slow reference the member table is tested
-    against.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    coords = range(1, n + 1)
-    subsets = itertools.chain.from_iterable(itertools.combinations(coords, k) for k in coords)
-    for active in sorted(subsets):
-        if len(runs_of(active)) > m:
-            continue
-        rest = tuple(i for i in coords if i not in active)
-        for fr in range(3 ** len(rest)):
-            yield Line(n, active, _fixed_from_rank(rest, fr))
-
-
 @lru_cache(maxsize=16)
 def m_interval_active_sets(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Active sets with at most m runs, in lexicographic order: the order of
-    :func:`enumerate_m_interval_lines` and of the rows of :func:`m_interval_line_members`."""
+    """Active sets with at most m runs, in lexicographic order (for m = 1: by lo, then hi),
+    the order of the rows of :func:`m_interval_line_members`."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1:
@@ -227,34 +221,39 @@ def m_interval_active_sets(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 def m_interval_line_members(n: int, m: int) -> np.ndarray:
     """Ranks of the three points of every line with at most m runs, one line per row.
 
-    Rows follow :func:`enumerate_m_interval_lines`.  A row is the rank of
-    the pinned letters (moving letter 1) plus v times the summed weight
-    3**(n-i) of the active coordinates i, v = 0, 1, 2.  Cached because the
-    table is the hot input to violation counting, search and encoding.
+    Lines come by active set, in the order of :func:`m_interval_active_sets`,
+    then by the rank of their pinned letters read in increasing coordinate
+    order as base-3 digits, the last pinned coordinate fastest.  With m = 1
+    these are the interval lines, with m = n every combinatorial line of the
+    cube.  A row is the rank of the pinned letters (moving letter 1) plus v
+    times the summed weight 3**(n-i) of the active coordinates i, v = 0, 1, 2.
+    Cached because the table is the hot input to violation counting, search
+    and encoding.
     """
     actives = m_interval_active_sets(n, m)
     steps = np.arange(3, dtype=np.int64)
+    # Ranks of the letters at pinned positions of the given weights, the last one fastest;
+    # each table is one broadcast of the table of its prefix, and blocks share prefixes.
+    ranks = {(): np.zeros(1, dtype=np.int64)}
+
+    def ranks_of(weights: tuple[int, ...]) -> np.ndarray:
+        if weights not in ranks:
+            ranks[weights] = (ranks_of(weights[:-1])[:, None] + steps * weights[-1]).ravel()
+        return ranks[weights]
+
     out = np.empty((sum(3 ** (n - len(a)) for a in actives), 3), dtype=np.int64)
     start = 0
     for active in actives:
-        # Pinned ranks in fixed-part rank order: the last pinned coordinate varies fastest.
-        base = np.zeros(1, dtype=np.int64)
-        for i in range(1, n + 1):
-            if i not in active:
-                base = (base[:, None] + steps * 3 ** (n - i)).ravel()
-        weight = sum(3 ** (n - i) for i in active)
-        out[start : start + base.size] = base[:, None] + steps * weight
-        start += base.size
+        weights = tuple(3 ** (n - i) for i in range(1, n + 1) if i not in active)
+        # A block is one outer sum of the ranks of the first half of the pinned letters,
+        # those of the second half and the moving letter's steps along the active weight.
+        h = len(weights) // 2
+        high, low = ranks_of(weights[:h]), ranks_of(weights[h:])
+        low = low[:, None] + steps * sum(3 ** (n - i) for i in active)
+        stop = start + 3 ** len(weights)
+        np.add(high[:, None, None], low, out=out[start:stop].reshape(len(high), len(low), 3))
+        start = stop
     return out
-
-
-def m_interval_blocks(n: int, m: int, pin: Callable[[int, int], object]) -> Iterator[tuple]:
-    """Rows k of :func:`m_interval_line_members` by active set, as (active, rows): ``rows`` yields
-    ``pin(p, v)`` of each ``line_at_row(n, k, m)``'s fixed pairs, the last pinned one fastest."""
-    for active in m_interval_active_sets(n, m):
-        # pin runs once per pinned letter, not once per row
-        choices = [[pin(p, v) for v in ALPHABET] for p in range(1, n + 1) if p not in active]
-        yield active, itertools.product(*choices)
 
 
 def interval_line_members(n: int) -> np.ndarray:
@@ -312,7 +311,10 @@ class Coloring:
 
     @classmethod
     def from_bits(cls, n: int, values: Iterable[int]) -> "Coloring":
-        return cls(n, np.fromiter(values, dtype=np.uint8, count=3**n))
+        values = list(values)
+        if not all(v == 0 or v == 1 for v in values):  # before uint8 reads 1.5 as 1
+            raise ValueError("colours must be 0 or 1")
+        return cls(n, np.array(values, dtype=np.uint8))
 
     @classmethod
     def random(cls, n: int, seed: int) -> "Coloring":

@@ -13,11 +13,7 @@ import pytest
 
 from hjinterval.bounds import ramsey_upper, tower
 from hjinterval.cnf import decode_model, encode, solve_builtin
-from hjinterval.cube import (
-    Coloring,
-    Word,
-    enumerate_m_interval_lines,
-)
+from hjinterval.cube import Coloring, Word
 from hjinterval.gadgets import (
     Quadruple,
     case_lemma_check,
@@ -29,6 +25,8 @@ from hjinterval.gadgets import (
 )
 from hjinterval.patterns import breakpoints, contract, realize
 from hjinterval.search import exhaustive_search, local_search, violation_count
+
+from oracles import enumerate_m_interval_lines
 
 LEAST_AVOIDER_N3 = "001010100001100011110001011"
 

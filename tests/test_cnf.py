@@ -1,16 +1,16 @@
 import hashlib
 import json
+import random
 import re
-from itertools import starmap
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hjinterval.cnf import (
     CnfInstance,
     EncoderBugError,
-    _line_names,
-    _pin_text,
     decode_model,
     encode,
     parse_dimacs,
@@ -21,16 +21,16 @@ from hjinterval.cnf import (
 )
 from hjinterval.cube import (
     Coloring,
-    enumerate_m_interval_lines,
     is_monochromatic,
     line_at_row,
-    m_interval_blocks,
     m_interval_line_members,
     rank,
     runs_of,
 )
 from hjinterval.drup import check_proof
 from hjinterval.search import violation_count
+
+from oracles import enumerate_m_interval_lines
 
 EXPECTED_SIZES = {1: (3, 2), 2: (9, 14), 3: (27, 68)}
 
@@ -46,6 +46,9 @@ GOLDEN_DIMACS_SHA256 = {
     (7, 7, False): "84e219c603767245a728c15dd36ebd91a787e1b3f33fbcec933ce4f8e93b21a1",
     (7, 7, True): "6f724900bcd8eab6480beb284bb41084a4e16d34486378bc25834383ea8eb557",
 }
+# The same for encode(10, 1), whose names hold two-digit pinned positions and whose
+# clauses hold five-digit literals; too slow to parse back in every run.
+GOLDEN_DIMACS_N10_SHA256 = "1ea4d582ac5d9057383ca61147a98497ac3a6e134799311fc84d1118c9dc1825"
 
 # Pigeonhole 3 into 2 (variable 2*(i-1)+j: pigeon i in hole j), which is
 # unsatisfiable, plus the unit 7 and one clause of width 8 over all variables.
@@ -90,15 +93,19 @@ def test_encode_m2_counts():
     assert len(inst.clauses) == 74
 
 
+def _line_comment(line):
+    """The DIMACS comment that names a line, formatted from the line itself."""
+    runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(line.active))
+    return f"c line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-")
+
+
 def _encode_reference(n, m, sym_break):
     """The clauses encode() must build and the DIMACS text write_dimacs() must
     give them, made line by line from the enumeration."""
     clauses, rows = [], []
     for line in enumerate_m_interval_lines(n, m):
         p, q, r = (rank(w) + 1 for w in line.points())
-        runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(line.active))
-        rows.append(f"c line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-"))
-        rows += [f"{p} {q} {r} 0", f"-{p} -{q} -{r} 0"]
+        rows += [_line_comment(line), f"{p} {q} {r} 0", f"-{p} -{q} -{r} 0"]
         clauses += [(p, q, r), (-p, -q, -r)]
     if sym_break:
         rows += ["c symmetry-break rank0=0", "-1 0"]
@@ -124,6 +131,15 @@ def test_dimacs_bytes_are_pinned():
         text = write_dimacs(inst)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, (n, m, sym_break)
         assert parse_dimacs(text) == inst
+
+
+@pytest.fixture(scope="module")
+def dimacs_n10():
+    return write_dimacs(encode(10, 1))
+
+
+def test_dimacs_bytes_are_pinned_at_n10(dimacs_n10):
+    assert hashlib.sha256(dimacs_n10.encode("ascii")).hexdigest() == GOLDEN_DIMACS_N10_SHA256
 
 
 def test_clause_pairs_follow_member_table_rows():
@@ -204,18 +220,19 @@ def test_encode_rejects_bad_args():
         encode(2, m=0)
 
 
-def test_row_walk_names_the_line_at_each_row():
-    # the writer's walk and line_at_row agree on every row, so the DIMACS
-    # comment over clause pair k names the line the pair encodes
+def test_row_walk_names_the_line_at_each_row(dimacs_n10):
+    # the comment over clause pair k names line_at_row(n, k, m), the line the pair encodes:
+    # at every row for n <= 5, at sampled rows (block ends among them) for n = 10
     for n in range(1, 6):
         for m in range(1, n + 1):
-            lines = [line_at_row(n, k, m) for k in range(len(m_interval_line_members(n, m)))]
-            blocks = m_interval_blocks(n, m, lambda p, v: (p, v))
-            pairs = [(active, pins) for active, rows in blocks for pins in rows]
-            assert pairs == [(line.active, line.fixed) for line in lines]
-            blocks = m_interval_blocks(n, m, _pin_text)
-            names = [name for active, rows in blocks for name in _line_names(active, rows)]
-            assert names == [_line_names(l.active, [starmap(_pin_text, l.fixed)])[0] for l in lines]
+            rows = write_dimacs(encode(n, m)).splitlines()[2:]
+            assert len(rows) == 3 * len(m_interval_line_members(n, m))
+            assert rows[::3] == [_line_comment(line_at_row(n, k, m)) for k in range(len(rows) // 3)]
+    rows = dimacs_n10.splitlines()[2:]
+    count = len(m_interval_line_members(10, 1))
+    assert len(rows) == 3 * count
+    for k in [0, 3**9 - 1, 3**9, count - 1, *random.Random(10).sample(range(count), 200)]:
+        assert rows[3 * k] == _line_comment(line_at_row(10, k, 1)), k
 
 
 def test_dimacs_output_is_stable():
@@ -390,6 +407,53 @@ def test_instance_rejects_empty_clause():
 def test_instance_checks_the_clause_array(rows, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         CnfInstance(n_vars=2, clauses=rows)
+
+
+def _clause_check_reference(n_vars, rows):
+    """The message CnfInstance gives for a list of zero-padded clause rows, None for
+    rows it accepts: first a row that is empty or has a 0 before a literal, then the
+    first literal, in row order, outside +-n_vars."""
+    for k, row in enumerate(rows):
+        width = len(row)
+        while width and not row[width - 1]:
+            width -= 1
+        if not width or 0 in row[:width]:
+            return f"clause {k} is empty or has a 0 before its last literal"
+    for row in rows:
+        for lit in row:
+            if abs(lit) > n_vars:
+                return f"literal {lit} outside +-1..{n_vars}"
+    return None
+
+
+@st.composite
+def clause_arrays(draw):
+    """(n_vars, rows): rows of up to four cells, most of them literals then zero padding."""
+    n_vars = draw(st.sampled_from([0, 1, 2, 5, 2**31 - 1]))
+    edges = [n_vars, -n_vars, n_vars + 1, -n_vars - 1, 2**40, -(2**40)]
+    cell = st.one_of(st.integers(-n_vars - 1, n_vars + 1), st.sampled_from(edges))
+    width = draw(st.integers(0, 4))
+    literals = st.lists(cell.filter(bool), max_size=width).map(lambda r: r + [0] * (width - len(r)))
+    rows = draw(st.lists(st.one_of(literals, st.lists(cell, min_size=width, max_size=width)), max_size=6))
+    return n_vars, np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@given(clause_arrays())
+@example((2, np.zeros((0, 0), dtype=np.int64)))
+@example((2, np.zeros((2, 0), dtype=np.int64)))
+@example((2, np.array([[2], [-2]])))
+@example((2, np.array([[2], [-3]])))
+@example((2**31 - 1, np.array([[2**31 - 1, -(2**31 - 1)], [1, 2**31]])))
+def test_instance_check_matches_a_per_row_reference(case):
+    n_vars, rows = case
+    want = _clause_check_reference(n_vars, rows.tolist())
+    if want is None:
+        instance = CnfInstance(n_vars, rows)
+        assert instance.clauses.dtype == np.int32 and instance.clauses.tolist() == rows.tolist()
+    else:
+        with pytest.raises(ValueError) as err:
+            CnfInstance(n_vars, rows)
+        assert str(err.value) == want
 
 
 def test_solve_builtin_respects_sym_break():

@@ -14,7 +14,6 @@ from hjinterval.cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
-    enumerate_m_interval_lines,
     interval_line,
     interval_line_members,
     is_monochromatic,
@@ -28,6 +27,8 @@ from hjinterval.cube import (
     save_coloring,
     unrank,
 )
+
+from oracles import enumerate_m_interval_lines
 
 words = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(*([st.integers(1, 3)] * n)).map(Word)
@@ -206,6 +207,13 @@ def test_coloring_rejects_bad_bits():
         Coloring.from_bits(2, [0] * 8)
     with pytest.raises(ValueError):
         Coloring.from_bits(1, [0, 2, 0])
+
+
+@pytest.mark.parametrize("bad", [1.5, 256, -1])
+def test_from_bits_checks_values_before_narrowing(bad):
+    # a uint8 cast would read 1.5 as 1 and fail on 256 and -1 with OverflowError
+    with pytest.raises(ValueError, match="colours must be 0 or 1"):
+        Coloring.from_bits(1, [0, bad, 0])
 
 
 def test_coloring_leaves_the_callers_array_writable():

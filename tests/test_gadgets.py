@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hjinterval.cube import Coloring, Line, Word, enumerate_m_interval_lines, is_monochromatic, rank, unrank
+from hjinterval.cube import Coloring, Line, Word, is_monochromatic, rank, unrank
 from hjinterval.gadgets import (
     MIN_GROUND_SIZE,
     SEED_LENGTHS,
@@ -25,6 +25,8 @@ from hjinterval.gadgets import (
     render_certificate,
 )
 from hjinterval.patterns import contract, realize
+
+from oracles import enumerate_m_interval_lines
 
 UNIT_QUAD = Quadruple(5, (1, 2, 3, 4))
 
