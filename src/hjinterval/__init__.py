@@ -28,6 +28,7 @@ from .cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
+    first_mono_row,
     interval_line,
     is_monochromatic,
     line_at_row,

@@ -67,7 +67,8 @@ def dimension(text: str) -> int:
 
 
 def seed(text: str) -> int:
-    """A gen --seed: numpy's generator takes only seeds >= 0."""
+    """A gen --seed, at least 0: random.Random seeds by the absolute value, so -s
+    would give the colouring of s."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed={value} is negative: a gen seed must be >= 0")

@@ -12,6 +12,7 @@ clause pair; they can be fed to any external solver that takes a file
 path and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
 built-in CDCL solver, which logs a DRUP proof of every unsat answer,
 decides the cubes this package cares about when no solver is installed.
+A decoded model is checked by a scan that shares no table with encode.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -28,12 +30,12 @@ import numpy as np
 from .cube import (
     ALPHABET,
     Coloring,
+    first_mono_row,
     is_count,
     line_at_row,
     line_names,
     m_interval_active_sets,
     m_interval_line_members,
-    mono_mask,
 )
 
 # First word of the DIMACS comment that names an encoded instance's family.
@@ -52,7 +54,13 @@ class CnfInstance:
     family: tuple[int, int, bool] | None = None
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.clauses, dtype=np.int64)
+        rows = np.asarray(self.clauses)
+        if not np.can_cast(rows.dtype, np.int64):  # floats, uint64, objects: check, then narrow
+            literals = rows.ravel().tolist()  # NaN and infinities leave a remainder too
+            bad = [v for v in literals if not isinstance(v, Real) or v % 1 or not -(2**63) <= v < 2**63]
+            if bad:
+                raise ValueError(f"literal {bad[0]!r} is not an integer in the int64 range")
+        rows = rows.astype(np.int64)
         if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
             raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
         # Clause k is well formed when it starts with a literal and no literal follows a 0.
@@ -453,10 +461,11 @@ class EncoderBugError(RuntimeError):
 def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     """Turn a model into a colouring and verify it against a direct scan.
 
-    The model must assign every variable 1..3**n.  Verification failure
-    does not return: a model that still contains a monochromatic line
-    means the solver or the encoder is broken, and silently shipping such
-    a "witness" would poison everything downstream.
+    The model must assign every variable 1..3**n.  The scan reads the cube,
+    not the encoder's member table, so a line missing there is still caught.
+    Verification failure does not return: a model that still contains a
+    monochromatic line means the solver or the encoder is broken, and
+    silently shipping such a "witness" would poison everything downstream.
     """
     size = 3**n
     values = {}
@@ -471,9 +480,9 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
         raise ValueError(f"incomplete model: variable {missing[0]} of {size} unassigned")
     bits = np.fromiter((1 if values[v] else 0 for v in range(1, size + 1)), dtype=np.uint8, count=size)
     coloring = Coloring(n, bits)
-    hits = np.flatnonzero(mono_mask(coloring.bits, m_interval_line_members(n, m)))
-    if hits.size:
-        line = line_at_row(n, int(hits[0]), m)
+    row = first_mono_row(coloring.bits, n, m)
+    if row is not None:
+        line = line_at_row(n, row, m)
         name = line_names(line.active, [(p, (v,)) for p, v in line.fixed])[0]
         raise EncoderBugError(f"decoded model leaves {name} monochromatic")
     return coloring

@@ -6,13 +6,14 @@ line is the three-point set obtained by fixing the letters outside an
 same moving letter 1, 2, 3.  The interesting lines here are the ones
 whose active set is a single contiguous interval (or a union of at most
 m intervals); this module provides the bookkeeping everything else
-builds on: ranking, line enumeration, colouring storage, the symmetry
-group that respects interval lines, and the on-disk colouring format.
+builds on: ranking, line tables and scans, colouring storage, the
+symmetry group that respects interval lines, and the file format.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -281,6 +282,20 @@ def mono_mask(bits: np.ndarray, members: np.ndarray) -> np.ndarray:
     return (cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])
 
 
+def first_mono_row(bits: np.ndarray, n: int, m: int = 1) -> int | None:
+    """The first row of :func:`m_interval_line_members` that the colour array ``bits``
+    makes monochromatic, or None, without the table: fixing a block's active coordinates
+    to one letter leaves a view of the cube whose cells, in C order, are its rows."""
+    cube, start = bits.reshape((3,) * n), 0
+    for active in m_interval_active_sets(n, m):
+        a, b, c = (cube[tuple(v if i in active else slice(None) for i in range(1, n + 1))] for v in range(3))
+        mono = (a == b) & (b == c)
+        if mono.any():
+            return start + int(mono.argmax())
+        start += mono.size
+    return None
+
+
 class Coloring:
     """A two-colouring of the n-cube, stored as one uint8 per word rank."""
 
@@ -310,16 +325,16 @@ class Coloring:
         return cls(n, np.full(3**n, color, dtype=np.uint8))
 
     @classmethod
-    def from_bits(cls, n: int, values: Iterable[int]) -> "Coloring":
-        values = list(values)
-        if not all(v == 0 or v == 1 for v in values):  # before uint8 reads 1.5 as 1
-            raise ValueError("colours must be 0 or 1")
-        return cls(n, np.array(values, dtype=np.uint8))
-
-    @classmethod
     def random(cls, n: int, seed: int) -> "Coloring":
-        rng = np.random.default_rng(seed)
-        return cls(n, rng.integers(0, 2, size=3**n, dtype=np.uint8))
+        """Cell i takes bit i of ``random.Random(seed).getrandbits(3**n)``, drawn in chunks
+        of 2**24 bits (a multiple of 32, so they join into that one draw) into an array
+        allocated first, so a cube too large fails before any draw."""
+        bits, rng = np.empty(3**n, dtype=np.uint8), random.Random(seed)
+        for start in range(0, 3**n, 1 << 24):
+            k = min(1 << 24, 3**n - start)
+            chunk = np.frombuffer(rng.getrandbits(k).to_bytes((k + 7) // 8, "little"), np.uint8)
+            bits[start : start + k] = np.unpackbits(chunk, count=k, bitorder="little")
+        return cls(n, bits)
 
     def get(self, word: Word) -> int:
         if word.n != self.n:

@@ -32,12 +32,11 @@ from .cube import (
     Coloring,
     Line,
     Word,
+    first_mono_row,
     interval_line,
-    interval_line_members,
     is_count,
     is_monochromatic,
     line_at_row,
-    mono_mask,
 )
 from .patterns import Pattern, realize
 
@@ -338,7 +337,8 @@ def find_interval_line(
 ) -> LineCertificate | None:
     """Search for a monochromatic interval line by one of three routes.
 
-    direct    scan every interval line; None is a proof of absence.
+    direct    scan the interval lines in row order up to the first
+              monochromatic one; None is a proof of absence.
     gadget    test the five candidate lines over every quadruple of
               cuts; cheap, but None only means this route saw nothing.
     pipeline  the paper's two steps at desk scale: test that every seed
@@ -351,10 +351,8 @@ def find_interval_line(
     """
     n = coloring.n
     if method == "direct":
-        hits = np.flatnonzero(mono_mask(coloring.bits, interval_line_members(n)))
-        if hits.size == 0:
-            return None
-        return _certified(coloring, line_at_row(n, int(hits[0])))
+        row = first_mono_row(coloring.bits, n)
+        return None if row is None else _certified(coloring, line_at_row(n, row))
     if method == "gadget":
         for cuts in itertools.combinations(range(1, n), 4):
             for line in gadget_lines(Quadruple(n, cuts)):

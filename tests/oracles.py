@@ -1,8 +1,17 @@
-"""Slow references that the package's line tables are tested against."""
+"""Slow references that the package's line tables are tested against, and a
+colouring builder the tests share."""
 
 import itertools
 
-from hjinterval.cube import ALPHABET, Line, runs_of
+import numpy as np
+
+from hjinterval.cube import ALPHABET, Coloring, Line, runs_of
+
+
+def coloring_from_bits(n, values):
+    """The colouring whose cell of rank i takes the i-th value, which Coloring
+    checks is 0 or 1 before it narrows it to uint8."""
+    return Coloring(n, np.array(list(values)))
 
 
 def enumerate_m_interval_lines(n, m=1):

@@ -81,9 +81,9 @@ def test_gen_random_is_seeded(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_text() == b.read_text()
-    # numpy's default_rng draws these bits; a change of generator would change the file
+    # the bits of random.Random(5).getrandbits(27); a change of generator would change the file
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
-        "0c2d9f15e66ab9e78a611daac3f602c0b059c8b77dfebbaabf1f86a135ba08e5"
+        "d9af6a79b2da22fc65fbe19a1f736397ca338cecca2f3212bcf9d2afb7929fed"
     )
 
 
@@ -563,13 +563,25 @@ sys.exit(code)
 '''
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_local_search_never_imports_numpy_random(tmp_path, child_env, jobs):
-    # numpy imports numpy.random lazily, at a cost of about 12 ms; local search draws
-    # from the standard library's random.Random instead, in the CLI and in its workers.
+LOCAL = ["search", "--mode", "local", "--n", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, shows",
+    [
+        pytest.param([*LOCAL, "--jobs", "1"], ["outcome=avoider-found", "pools=0"], id="1"),
+        pytest.param([*LOCAL, "--jobs", "2"], ["outcome=avoider-found", "pools=1"], id="2"),
+        pytest.param(
+            ["gen", "--kind", "random", "--n", "5", "--out", "r.hjc"], ["kind=random", "pools=0"], id="gen"
+        ),
+    ],
+)
+def test_local_search_never_imports_numpy_random(tmp_path, child_env, argv, shows):
+    # numpy imports numpy.random lazily, at a cost of about 12 ms; local search and
+    # gen --kind random draw from the standard library's random.Random instead, in the
+    # CLI and in the search's workers.
     proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_RANDOM, "search", "--mode", "local", "--n", "4",
-         "--jobs", str(jobs)],
+        [sys.executable, "-c", NO_NUMPY_RANDOM, *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -577,8 +589,8 @@ def test_local_search_never_imports_numpy_random(tmp_path, child_env, jobs):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "outcome=avoider-found" in proc.stdout
-    assert f"pools={int(jobs > 1)}" in proc.stdout
+    for text in shows:
+        assert text in proc.stdout
 
 
 @pytest.mark.parametrize("n, message", [(30, "Unable to allocate"), (40, "")])

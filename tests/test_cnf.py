@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hjinterval import cnf
 from hjinterval.cnf import (
     CnfInstance,
     EncoderBugError,
@@ -409,6 +410,17 @@ def test_instance_checks_the_clause_array(rows, message):
         CnfInstance(n_vars=2, clauses=rows)
 
 
+def test_instance_refuses_non_integral_literals():
+    with pytest.raises(ValueError, match=re.escape("literal 1.5 is not an integer in the int64 range")):
+        CnfInstance(2, [[1.5, -2.7]])
+
+
+@pytest.mark.parametrize("rows", [[[2**70]], np.array([[1, 2**63]], dtype=np.uint64)])
+def test_instance_refuses_literals_past_int64(rows):
+    with pytest.raises(ValueError, match=r"literal \d+ is not an integer in the int64 range"):
+        CnfInstance(2, rows)
+
+
 def _clause_check_reference(n_vars, rows):
     """The message CnfInstance gives for a list of zero-padded clause rows, None for
     rows it accepts: first a row that is empty or has a 0 before a literal, then the
@@ -494,6 +506,18 @@ def test_decode_model_names_the_offending_line():
         assert "1..1" in str(exc)
     else:
         pytest.fail("expected EncoderBugError")
+
+
+def test_decode_model_scans_a_line_the_encoder_left_out(monkeypatch):
+    # Row 5 of encode(3) is the line 123, 223, 323 (ranks 5, 14, 23); an encoder that
+    # drops it leaves models that colour it 0, which decode_model must still refuse.
+    full = m_interval_line_members(3, 1)
+    monkeypatch.setattr(cnf, "m_interval_line_members", lambda n, m: np.delete(full, 5, axis=0))
+    pins = [(-(r + 1), 0, 0) for r in full[5]]
+    outcome = solve_builtin(CnfInstance(27, np.vstack((encode(3).clauses, pins))))
+    assert outcome.status == "sat"
+    with pytest.raises(EncoderBugError, match="leaves line 1..1 fixed=2:2,3:3 monochromatic"):
+        decode_model(outcome.model, 3)
 
 
 def test_decode_model_checks_the_asked_family(two_interval_mono_model):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hjinterval.cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
+    first_mono_row,
     interval_line,
     interval_line_members,
     is_monochromatic,
@@ -27,8 +29,10 @@ from hjinterval.cube import (
     save_coloring,
     unrank,
 )
+from hjinterval.gadgets import pattern_coloring
+from hjinterval.search import exhaustive_search
 
-from oracles import enumerate_m_interval_lines
+from oracles import coloring_from_bits, enumerate_m_interval_lines
 
 words = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(*([st.integers(1, 3)] * n)).map(Word)
@@ -174,21 +178,34 @@ def test_mono_mask_flags_exactly_the_monochromatic_rows():
         assert mask.tolist() == [is_monochromatic(c, line) for line in lines]
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_first_mono_row_is_the_first_monochromatic_line(n):
+    colourings = [Coloring.constant(n, 0), Coloring.constant(n, 1), exhaustive_search(n).coloring]
+    colourings += [pattern_coloring(n, d) for d in itertools.product((0, 1), repeat=5)]
+    colourings += [Coloring.random(n, seed) for seed in range(20)]
+    for m in range(1, n + 1):
+        lines = list(enumerate_m_interval_lines(n, m))
+        for c in colourings:
+            want = next((row for row, line in enumerate(lines) if is_monochromatic(c, line)), None)
+            assert first_mono_row(c.bits, n, m) == want
+    assert first_mono_row(colourings[2].bits, n) is None  # the least avoider scans every row
+
+
 def test_coloring_basics():
     c = Coloring.constant(2, 1)
     assert c.bitstring == "1" * 9
     assert c.get(Word.from_text("12")) == 1
-    d = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    d = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     assert d.bitstring == "001010100"
     assert d.bits[2] == 1
     assert d != c
-    assert Coloring.from_bits(2, np.array([0, 0, 1, 0, 1, 0, 1, 0, 0])) == d
-    assert len({d, Coloring.from_bits(2, list(map(int, d.bitstring)))}) == 1
+    assert coloring_from_bits(2, np.array([0, 0, 1, 0, 1, 0, 1, 0, 0])) == d
+    assert len({d, coloring_from_bits(2, list(map(int, d.bitstring)))}) == 1
 
 
 def coloring_from_function(n, fn):
     """The colouring that gives each word the colour fn(word)."""
-    return Coloring.from_bits(n, (fn(unrank(r, n)) for r in range(3**n)))
+    return coloring_from_bits(n, (fn(unrank(r, n)) for r in range(3**n)))
 
 
 def test_coloring_from_function():
@@ -202,18 +219,32 @@ def test_coloring_random_seeded():
     assert Coloring.random(3, seed=7) != Coloring.random(3, seed=8)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_coloring_random_is_the_bits_of_one_draw(n):
+    for seed in (0, 5, 2**31 - 1):
+        word = random.Random(seed).getrandbits(3**n)
+        assert Coloring.random(n, seed).bitstring == "".join(str(word >> i & 1) for i in range(3**n))
+
+
+def test_coloring_random_chunks_join_into_one_draw():
+    # n = 16 has 3**16 > 2**24 cells, so the draw comes in three chunks
+    word = random.Random(1).getrandbits(3**16)
+    bits = Coloring.random(16, 1).bits
+    assert np.packbits(bits, bitorder="little").tobytes() == word.to_bytes(-(-3**16 // 8), "little")
+
+
 def test_coloring_rejects_bad_bits():
     with pytest.raises(ValueError):
-        Coloring.from_bits(2, [0] * 8)
+        coloring_from_bits(2, [0] * 8)
     with pytest.raises(ValueError):
-        Coloring.from_bits(1, [0, 2, 0])
+        coloring_from_bits(1, [0, 2, 0])
 
 
 @pytest.mark.parametrize("bad", [1.5, 256, -1])
 def test_from_bits_checks_values_before_narrowing(bad):
-    # a uint8 cast would read 1.5 as 1 and fail on 256 and -1 with OverflowError
+    # Coloring compares its uint8 copy with the values, which reads 1.5 as 1 and 256 as 0
     with pytest.raises(ValueError, match="colours must be 0 or 1"):
-        Coloring.from_bits(1, [0, bad, 0])
+        coloring_from_bits(1, [0, bad, 0])
 
 
 def test_coloring_leaves_the_callers_array_writable():
@@ -243,7 +274,7 @@ def test_is_monochromatic():
     c = Coloring.constant(2, 0)
     line = interval_line(2, 1, 2)
     assert is_monochromatic(c, line)
-    d = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    d = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     assert not is_monochromatic(d, line)
 
 
@@ -301,7 +332,7 @@ def test_symmetries_preserve_interval_lines():
 @given(st.integers(0, 23), st.integers(0, 2**9 - 1))
 def test_symmetry_preserves_mono_lines(gi, mask):
     g = all_symmetries()[gi]
-    c = Coloring.from_bits(2, [(mask >> i) & 1 for i in range(9)])
+    c = coloring_from_bits(2, [(mask >> i) & 1 for i in range(9)])
     img = apply_symmetry(c, g)
     before = sum(is_monochromatic(c, l) for l in enumerate_m_interval_lines(2))
     after = sum(is_monochromatic(img, l) for l in enumerate_m_interval_lines(2))
@@ -309,7 +340,7 @@ def test_symmetry_preserves_mono_lines(gi, mask):
 
 
 def test_coloring_text_roundtrip():
-    c = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    c = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     text = coloring_to_text(c)
     assert text == "HJC 3 2\n001010100\n"
     assert coloring_from_text(text) == c

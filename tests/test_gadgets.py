@@ -26,7 +26,7 @@ from hjinterval.gadgets import (
 )
 from hjinterval.patterns import contract, realize
 
-from oracles import enumerate_m_interval_lines
+from oracles import coloring_from_bits, enumerate_m_interval_lines
 
 UNIT_QUAD = Quadruple(5, (1, 2, 3, 4))
 
@@ -210,7 +210,7 @@ def _pattern_coloring_reference(n, d):
     """Contract every word one by one and look its contraction up among the seeds."""
     table = {p.letters: d[i] for i, p in enumerate(SEED_PATTERNS)}
     words = (unrank(r, n) for r in range(3**n))
-    return Coloring.from_bits(n, (table.get(contract(w).letters, d[0]) for w in words))
+    return coloring_from_bits(n, (table.get(contract(w).letters, d[0]) for w in words))
 
 
 def test_pattern_coloring_matches_contraction_reference():
@@ -298,7 +298,7 @@ def _pipeline_cases(n):
     for seed in range(4):
         yield Coloring.random(n, seed)
         rng = random.Random(seed)
-        yield Coloring.from_bits(n, (rng.getrandbits(1) for _ in range(3**n)))
+        yield coloring_from_bits(n, (rng.getrandbits(1) for _ in range(3**n)))
         if n >= 5:
             # seed 0 forces every seed pattern, seeds 1..3 leave pattern 1..3 free
             d = [rng.getrandbits(1) for _ in range(5)]
@@ -326,7 +326,7 @@ def test_find_interval_line_direct_constant():
 
 
 def test_find_interval_line_direct_on_avoider():
-    avoider = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    avoider = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     assert find_interval_line(avoider) is None
 
 
@@ -374,7 +374,7 @@ def test_certificate_rejects_two_run_line():
 
 
 def test_certificate_verify_catches_mixed_line():
-    c = Coloring.from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    c = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
     some_line = next(iter(enumerate_m_interval_lines(2)))
     assert not is_monochromatic(c, some_line)
     cert = LineCertificate(line=some_line, color=0)

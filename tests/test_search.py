@@ -25,6 +25,8 @@ from hjinterval.search import (
     violation_count,
 )
 
+from oracles import coloring_from_bits
+
 LEAST_AVOIDERS = {
     1: "001",
     2: "001010100",
@@ -63,7 +65,7 @@ def test_violation_count_constant():
 
 def test_violation_count_avoiders():
     for n, bits in LEAST_AVOIDERS.items():
-        c = Coloring.from_bits(n, [int(b) for b in bits])
+        c = coloring_from_bits(n, [int(b) for b in bits])
         assert violation_count(c) == 0
 
 
@@ -101,7 +103,7 @@ def test_exhaustive_returns_least_avoider():
     # brute-force oracle: scan all colourings of [3]^2 in rank order
     for mask in range(2**9):
         bits = [(mask >> (8 - i)) & 1 for i in range(9)]
-        c = Coloring.from_bits(2, bits)
+        c = coloring_from_bits(2, bits)
         if violation_count(c) == 0:
             first = c
             break
