@@ -11,13 +11,12 @@
 from hjinterval import (
     decode_model,
     encode,
-    mono_mask,
+    first_mono_line,
     solve_builtin,
     tower,
     violation_count,
     write_dimacs,
 )
-from hjinterval.cube import m_interval_line_members
 from hjinterval.drup import check_proof
 
 # -- how the encoding grows --------------------------------------------------
@@ -69,9 +68,9 @@ print()
 inst2 = encode(3, m=2)
 outcome2 = solve_builtin(inst2)
 coloring2 = decode_model(outcome2.model, 3, m=2)
-mono = int(mono_mask(coloring2.bits, m_interval_line_members(3, 2)).sum())
+rescan = "no" if first_mono_line(coloring2.bits, 3, m=2) is None else "a"
 print(f"n=3, active sets of up to 2 runs: {len(inst2.clauses)} clauses, "
-      f"{outcome2.status}, {mono} monochromatic lines in the decoded colouring")
+      f"{outcome2.status}, {rescan} monochromatic line in the decoded colouring")
 
 # A symmetry-breaking unit clause pins the first cell to colour 0; the
 # instance stays satisfiable because colour swap maps avoiders to avoiders.

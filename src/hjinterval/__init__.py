@@ -28,12 +28,10 @@ from .cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
-    first_mono_row,
+    first_mono_line,
     interval_line,
     is_monochromatic,
-    line_at_row,
     load_coloring,
-    mono_mask,
     rank,
     save_coloring,
     unrank,

@@ -30,9 +30,8 @@ import numpy as np
 from .cube import (
     ALPHABET,
     Coloring,
-    first_mono_row,
+    first_mono_line,
     is_count,
-    line_at_row,
     line_names,
     m_interval_active_sets,
     m_interval_line_members,
@@ -142,6 +141,7 @@ def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
 def parse_dimacs(text: str) -> CnfInstance:
     """Read DIMACS back; counts are enforced, and comments are dropped
     except the family header that :func:`write_dimacs` puts after "p cnf".
+    A second "p cnf" line or a second family header is refused.
     A file with that header must hold exactly the family's encoding, in order."""
     n_vars = expected = family = None
     body: list[str] = []  # the clause lines
@@ -151,6 +151,8 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if row[0] == "c":
             if row.startswith(f"c {_HEADER_TAG} "):
+                if family is not None:
+                    raise ValueError(f"second {_HEADER_TAG} header {row!r}")
                 match = re.fullmatch(_HEADER_PATTERN, row)
                 if match is None:
                     raise ValueError(f"bad {_HEADER_TAG} header {row!r}")
@@ -158,6 +160,8 @@ def parse_dimacs(text: str) -> CnfInstance:
                 family = (n, m, bool(sym_break))
             continue
         if row[0] == "p":
+            if n_vars is not None:
+                raise ValueError(f"second DIMACS header {row!r}")
             parts = row.split()
             if len(parts) != 4 or parts[:2] != ["p", "cnf"] or not all(map(is_count, parts[2:])):
                 raise ValueError(f"bad DIMACS header {row!r}")
@@ -461,7 +465,7 @@ class EncoderBugError(RuntimeError):
 def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     """Turn a model into a colouring and verify it against a direct scan.
 
-    The model must assign every variable 1..3**n.  The scan reads the cube,
+    The model must assign every variable 1..3**n and no other.  The scan reads the cube,
     not the encoder's member table, so a line missing there is still caught.
     Verification failure does not return: a model that still contains a
     monochromatic line means the solver or the encoder is broken, and
@@ -471,6 +475,8 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     values = {}
     for lit in model:
         var = abs(lit)
+        if not 1 <= var <= size:
+            raise ValueError(f"model literal {lit} outside +-1..{size}")
         val = lit > 0
         if values.get(var, val) != val:
             raise ValueError(f"model assigns variable {var} both ways")
@@ -480,9 +486,8 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
         raise ValueError(f"incomplete model: variable {missing[0]} of {size} unassigned")
     bits = np.fromiter((1 if values[v] else 0 for v in range(1, size + 1)), dtype=np.uint8, count=size)
     coloring = Coloring(n, bits)
-    row = first_mono_row(coloring.bits, n, m)
-    if row is not None:
-        line = line_at_row(n, row, m)
+    line = first_mono_line(coloring.bits, n, m)
+    if line is not None:
         name = line_names(line.active, [(p, (v,)) for p, v in line.fixed])[0]
         raise EncoderBugError(f"decoded model leaves {name} monochromatic")
     return coloring

@@ -6,7 +6,8 @@ line is the three-point set obtained by fixing the letters outside an
 same moving letter 1, 2, 3.  The interesting lines here are the ones
 whose active set is a single contiguous interval (or a union of at most
 m intervals); this module provides the bookkeeping everything else
-builds on: ranking, line tables and scans, colouring storage, the
+builds on: ranking, the line table, a scan that returns the first
+monochromatic line in the table's row order, colouring storage, the
 symmetry group that respects interval lines, and the file format.
 """
 
@@ -184,17 +185,6 @@ def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None)
     return Line(n, active, pairs)
 
 
-def _fixed_from_rank(positions: tuple[int, ...], fr: int) -> tuple[tuple[int, int], ...]:
-    """Decode a fixed-part rank into letters along the given sorted positions."""
-    k = len(positions)
-    digits = []
-    for _ in range(k):
-        fr, d = divmod(fr, 3)
-        digits.append(d + 1)
-    digits.reverse()
-    return tuple(zip(positions, digits))
-
-
 @lru_cache(maxsize=16)
 def m_interval_active_sets(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Active sets with at most m runs, in lexicographic order (for m = 1: by lo, then hi),
@@ -262,37 +252,19 @@ def interval_line_members(n: int) -> np.ndarray:
     return m_interval_line_members(n, 1)
 
 
-def line_at_row(n: int, row: int, m: int = 1) -> Line:
-    """The line behind one row of :func:`m_interval_line_members`, without
-    enumerating the rows before it."""
-    fr = row
-    if fr >= 0:
-        for active in m_interval_active_sets(n, m):
-            count = 3 ** (n - len(active))
-            if fr < count:
-                rest = tuple(i for i in range(1, n + 1) if i not in active)
-                return Line(n, active, _fixed_from_rank(rest, fr))
-            fr -= count
-    raise IndexError(f"row {row} outside the member table of n={n}, m={m}")
-
-
-def mono_mask(bits: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Which rows of a member table the colour array ``bits`` makes monochromatic."""
-    cols = bits[members]
-    return (cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])
-
-
-def first_mono_row(bits: np.ndarray, n: int, m: int = 1) -> int | None:
-    """The first row of :func:`m_interval_line_members` that the colour array ``bits``
-    makes monochromatic, or None, without the table: fixing a block's active coordinates
-    to one letter leaves a view of the cube whose cells, in C order, are its rows."""
-    cube, start = bits.reshape((3,) * n), 0
+def first_mono_line(bits: np.ndarray, n: int, m: int = 1) -> Line | None:
+    """The first line, in the row order of :func:`m_interval_line_members`, that the colour
+    array ``bits`` makes monochromatic, or None, without the table: fixing a block's active
+    coordinates to one letter leaves a view of the cube whose cells, in C order, are its
+    rows, so the index of the first hit is the line's pinned letters."""
+    cube = bits.reshape((3,) * n)
     for active in m_interval_active_sets(n, m):
         a, b, c = (cube[tuple(v if i in active else slice(None) for i in range(1, n + 1))] for v in range(3))
         mono = (a == b) & (b == c)
         if mono.any():
-            return start + int(mono.argmax())
-        start += mono.size
+            rest = (i for i in range(1, n + 1) if i not in active)
+            letters = np.unravel_index(mono.argmax(), mono.shape)
+            return Line(n, active, tuple((p, int(d) + 1) for p, d in zip(rest, letters)))
     return None
 
 

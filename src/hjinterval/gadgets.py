@@ -32,11 +32,10 @@ from .cube import (
     Coloring,
     Line,
     Word,
-    first_mono_row,
+    first_mono_line,
     interval_line,
     is_count,
     is_monochromatic,
-    line_at_row,
 )
 from .patterns import Pattern, realize
 
@@ -351,8 +350,8 @@ def find_interval_line(
     """
     n = coloring.n
     if method == "direct":
-        row = first_mono_row(coloring.bits, n)
-        return None if row is None else _certified(coloring, line_at_row(n, row))
+        line = first_mono_line(coloring.bits, n)
+        return None if line is None else _certified(coloring, line)
     if method == "gadget":
         for cuts in itertools.combinations(range(1, n), 4):
             for line in gadget_lines(Quadruple(n, cuts)):

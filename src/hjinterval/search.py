@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .cnf import CnfInstance, encode, solve_builtin
-from .cube import Coloring, interval_line_members, mono_mask
+from .cube import Coloring, interval_line_members
 from .drup import check_proof
 
 OUTCOME_FOUND = "avoider-found"
@@ -37,7 +37,8 @@ OUTCOME_INCONCLUSIVE = "inconclusive"
 
 def violation_count(coloring: Coloring) -> int:
     """How many interval lines are monochromatic under the colouring."""
-    return int(mono_mask(coloring.bits, interval_line_members(coloring.n)).sum())
+    cols = coloring.bits[interval_line_members(coloring.n)]
+    return int(((cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])).sum())
 
 
 @dataclass

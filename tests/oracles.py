@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from hjinterval.cube import ALPHABET, Coloring, Line, runs_of
+from hjinterval.cube import ALPHABET, Coloring, Line, rank, runs_of, unrank
 
 
 def coloring_from_bits(n, values):
@@ -31,3 +31,17 @@ def enumerate_m_interval_lines(n, m=1):
         rest = tuple(i for i in coords if i not in active)
         for letters in itertools.product(ALPHABET, repeat=len(rest)):
             yield Line(n, active, tuple(zip(rest, letters)))
+
+
+def line_of_members(n, members):
+    """The line whose points, moving letter 1, 2, 3, have the three given ranks: the
+    active set is where the first two words differ, the other letters are pinned."""
+    first, second = (unrank(int(r), n) for r in members[:2])
+    coords = range(1, n + 1)
+    line = Line(
+        n,
+        tuple(i for i in coords if first[i] != second[i]),
+        tuple((i, first[i]) for i in coords if first[i] == second[i]),
+    )
+    assert [rank(p) for p in line.points()] == [int(r) for r in members]
+    return line

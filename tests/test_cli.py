@@ -55,6 +55,26 @@ def test_verify_gadgets_bad_quadruple(capsys):
     assert "error:" in err
 
 
+NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..3"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "--n", "2", "--kind", "constant", "--d", "2"), "constant colour must be 0 or 1"),
+        (("gen", "--n", "5", "--kind", "pattern", "--d", "0110"), "need five bits like 01100, got '0110'"),
+        (("verify-gadgets", "--n", "4"), NO_CUTS_AT_4),
+        (("verify-gadgets", "--n", "4", "--exhaustive-quadruples"), NO_CUTS_AT_4),
+    ],
+)
+def test_bad_values_are_refused_before_any_output(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    out_args = ("--out", "c.hjc") if argv[0] == "gen" else ()
+    code, out, err = run_cli(capsys, *argv, *out_args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "c.hjc").exists()
+
+
 def test_gen_pattern_writes_expected_file(tmp_path, capsys):
     out_path = tmp_path / "c.hjc"
     code, out, _ = run_cli(
@@ -454,6 +474,7 @@ def test_solve_refuses_a_timeout_that_is_not_finite_and_nonnegative(
     [
         ("1 -2 3", "incomplete model: variable 4 of 9 unassigned"),
         ("1 -1 2 3 4 5 6 7 8 9", "model assigns variable 1 both ways"),
+        ("-1 -2 3 -4 5 -6 7 -8 -9 10", "model literal 10 outside +-1..9"),
     ],
 )
 def test_solve_bad_external_model_is_unverified(tmp_path, capsys, solver_factory, model, reason):

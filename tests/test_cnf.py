@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -23,7 +24,6 @@ from hjinterval.cnf import (
 from hjinterval.cube import (
     Coloring,
     is_monochromatic,
-    line_at_row,
     m_interval_line_members,
     rank,
     runs_of,
@@ -31,7 +31,7 @@ from hjinterval.cube import (
 from hjinterval.drup import check_proof
 from hjinterval.search import violation_count
 
-from oracles import enumerate_m_interval_lines
+from oracles import enumerate_m_interval_lines, line_of_members
 
 EXPECTED_SIZES = {1: (3, 2), 2: (9, 14), 3: (27, 68)}
 
@@ -214,6 +214,24 @@ def test_parse_dimacs_refuses_header_numbers_before_int(text, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 3 1\n1 0\np cnf 3 2\n2 0\n", "second DIMACS header 'p cnf 3 2'"),
+        (
+            write_dimacs(encode(2, m=2)).replace("\n", "\nc hjinterval n=2 m=1 sym_break=0\n", 1),
+            "second hjinterval header 'c hjinterval n=2 m=2 sym_break=0'",
+        ),
+        ("1 2 0\np cnf 2 1\n", "clause before DIMACS header"),
+    ],
+)
+def test_parse_dimacs_refuses_a_second_header_and_a_clause_before_the_first(text, message):
+    # a later header would otherwise replace the counts or the family of the first
+    with pytest.raises(ValueError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+
+
 def test_encode_rejects_bad_args():
     with pytest.raises(ValueError):
         encode(0)
@@ -222,18 +240,19 @@ def test_encode_rejects_bad_args():
 
 
 def test_row_walk_names_the_line_at_each_row(dimacs_n10):
-    # the comment over clause pair k names line_at_row(n, k, m), the line the pair encodes:
-    # at every row for n <= 5, at sampled rows (block ends among them) for n = 10
+    # the comment over clause pair k names the line of member-table row k, the line the pair
+    # encodes: at every row for n <= 5, at sampled rows (block ends among them) for n = 10
     for n in range(1, 6):
         for m in range(1, n + 1):
             rows = write_dimacs(encode(n, m)).splitlines()[2:]
-            assert len(rows) == 3 * len(m_interval_line_members(n, m))
-            assert rows[::3] == [_line_comment(line_at_row(n, k, m)) for k in range(len(rows) // 3)]
+            table = m_interval_line_members(n, m)
+            assert len(rows) == 3 * len(table)
+            assert rows[::3] == [_line_comment(line_of_members(n, members)) for members in table]
     rows = dimacs_n10.splitlines()[2:]
-    count = len(m_interval_line_members(10, 1))
-    assert len(rows) == 3 * count
-    for k in [0, 3**9 - 1, 3**9, count - 1, *random.Random(10).sample(range(count), 200)]:
-        assert rows[3 * k] == _line_comment(line_at_row(10, k, 1)), k
+    table = m_interval_line_members(10, 1)
+    assert len(rows) == 3 * len(table)
+    for k in [0, 3**9 - 1, 3**9, len(table) - 1, *random.Random(10).sample(range(len(table)), 200)]:
+        assert rows[3 * k] == _line_comment(line_of_members(10, table[k])), k
 
 
 def test_dimacs_output_is_stable():
@@ -321,6 +340,24 @@ def test_solve_builtin_sat_small():
 def test_solve_builtin_unsat():
     inst = CnfInstance(n_vars=1, clauses=((1,), (-1,)))
     assert solve_builtin(inst).status == "unsat"
+
+
+def test_solve_builtin_refutes_past_the_activity_rescale():
+    # Pigeonhole 8 into 7 (variable 7*i+j+1: pigeon i in hole j) takes more than 4490
+    # conflicts; at the 4490th the bump (times 1/0.95 per conflict) passes 1e100, and the
+    # solver rescales every activity and rebuilds its heap. The refutation must survive that.
+    pigeons, holes = 8, 7
+    rows = [[holes * i + j + 1 for j in range(holes)] for i in range(pigeons)]
+    rows += [
+        [-(holes * i + j + 1), -(holes * k + j + 1)] + [0] * (holes - 2)
+        for j in range(holes)
+        for i, k in itertools.combinations(range(pigeons), 2)
+    ]
+    inst = CnfInstance(pigeons * holes, rows)
+    out = solve_builtin(inst)
+    assert out.status == "unsat"
+    assert len(out.proof) > 4490  # one lemma per conflict, then the empty clause
+    assert check_proof(inst.clause_tuples(), out.proof) is None
 
 
 @pytest.mark.parametrize(
@@ -491,6 +528,16 @@ def test_decode_model_rejects_contradiction():
 def test_decode_model_rejects_incomplete():
     with pytest.raises(ValueError):
         decode_model([1, 2], 1)
+
+
+@pytest.mark.parametrize("extra", [10, -11, 0])
+def test_decode_model_refuses_literals_of_no_variable(extra):
+    # the least avoider of n=2 decodes, but not with a literal outside +-1..9 beside it
+    model = [-1, -2, 3, -4, 5, -6, 7, -8, -9]
+    assert decode_model(model, 2).bitstring == "001010100"
+    with pytest.raises(ValueError) as err:
+        decode_model(model + [extra], 2)
+    assert str(err.value) == f"model literal {extra} outside +-1..9"
 
 
 def test_decode_model_catches_bogus_model():

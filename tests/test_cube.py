@@ -15,22 +15,20 @@ from hjinterval.cube import (
     apply_symmetry,
     coloring_from_text,
     coloring_to_text,
-    first_mono_row,
+    first_mono_line,
     interval_line,
     interval_line_members,
     is_monochromatic,
-    line_at_row,
     load_coloring,
     m_interval_active_sets,
     m_interval_line_members,
-    mono_mask,
     rank,
     rank_permutation,
     save_coloring,
     unrank,
 )
 from hjinterval.gadgets import pattern_coloring
-from hjinterval.search import exhaustive_search
+from hjinterval.search import exhaustive_search, violation_count
 
 from oracles import coloring_from_bits, enumerate_m_interval_lines
 
@@ -156,39 +154,32 @@ def test_m_member_table_matches_enumeration():
             assert m_interval_active_sets(n, m) == actives
 
 
-def test_line_at_row_matches_enumeration():
-    for n in range(1, 7):
-        for m in range(1, n + 1):
-            lines = list(enumerate_m_interval_lines(n, m))
-            for row, line in enumerate(lines):
-                got = line_at_row(n, row, m)
-                assert got == line and type(got) is Line
-                if m == 1:
-                    assert line_at_row(n, row) == got
-            for row in (-1, len(lines)):
-                with pytest.raises(IndexError):
-                    line_at_row(n, row, m)
-
-
-def test_mono_mask_flags_exactly_the_monochromatic_rows():
-    for n in (2, 3):
-        c = Coloring.random(n, seed=n)
-        lines = list(enumerate_m_interval_lines(n, n))
-        mask = mono_mask(c.bits, m_interval_line_members(n, n))
-        assert mask.tolist() == [is_monochromatic(c, line) for line in lines]
+def _sample_colourings(n):
+    colourings = [Coloring.constant(n, 0), Coloring.constant(n, 1), exhaustive_search(n).coloring]
+    colourings += [pattern_coloring(n, d) for d in itertools.product((0, 1), repeat=5)]
+    return colourings + [Coloring.random(n, seed) for seed in range(20)]
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_first_mono_row_is_the_first_monochromatic_line(n):
-    colourings = [Coloring.constant(n, 0), Coloring.constant(n, 1), exhaustive_search(n).coloring]
-    colourings += [pattern_coloring(n, d) for d in itertools.product((0, 1), repeat=5)]
-    colourings += [Coloring.random(n, seed) for seed in range(20)]
+def test_first_mono_line_is_the_first_monochromatic_line(n):
+    colourings = _sample_colourings(n)
     for m in range(1, n + 1):
         lines = list(enumerate_m_interval_lines(n, m))
         for c in colourings:
-            want = next((row for row, line in enumerate(lines) if is_monochromatic(c, line)), None)
-            assert first_mono_row(c.bits, n, m) == want
-    assert first_mono_row(colourings[2].bits, n) is None  # the least avoider scans every row
+            got = first_mono_line(c.bits, n, m)
+            assert got == next((line for line in lines if is_monochromatic(c, line)), None)
+            if got is not None:
+                assert type(got) is Line and all(type(v) is int for _, v in got.fixed)
+            if m == 1:
+                assert first_mono_line(c.bits, n) == got
+    assert first_mono_line(colourings[2].bits, n) is None  # the least avoider scans every line
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_violation_count_counts_the_monochromatic_interval_lines(n):
+    lines = list(enumerate_m_interval_lines(n))
+    for c in _sample_colourings(n):
+        assert violation_count(c) == sum(is_monochromatic(c, line) for line in lines)
 
 
 def test_coloring_basics():

@@ -18,7 +18,15 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
             "proof_walkthrough.py",
             ["32 cases, all hit", "MONO-LINE n=5 color=0 active=3..3 fixed=1:1,2:3,4:3,5:2"],
         ),
-        ("sat_frontier.py", ["c line 1..1 fixed=-", "n=5: unsat", "checked"]),
+        (
+            "sat_frontier.py",
+            [
+                "c line 1..1 fixed=-",
+                "n=5: unsat",
+                "checked",
+                "74 clauses, sat, no monochromatic line in the decoded colouring",
+            ],
+        ),
         (
             "small_cube_search.py",
             [

@@ -428,6 +428,33 @@ def test_parse_certificate_refuses_a_bad_header_before_building_the_line(field, 
     assert time.perf_counter() - start < 0.2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("NONE\n", "bad absence marker 'NONE'"),
+        ("NONE method=direct x\n", "bad absence marker 'NONE method=direct x'"),
+        (
+            "MONO-LINE n=2 color=0 active:1..1 fixed=2:1\nW1 11\nW2 21\nW3 31\n",
+            "bad certificate field 'active:1..1'",
+        ),
+        (
+            "MONO-LINE n=2 color=0 span=1..1 fixed=2:1\nW1 11\nW2 21\nW3 31\n",
+            "bad certificate header 'MONO-LINE n=2 color=0 span=1..1 fixed=2:1'",
+        ),
+        (
+            "MONO-LINE n=2 color=0 active=1..1 pinned=2:1\nW1 11\nW2 21\nW3 31\n",
+            "bad certificate header 'MONO-LINE n=2 color=0 active=1..1 pinned=2:1'",
+        ),
+        ("MONO-LINE n=2 color=0 active=1..1 fixed=2:1\nW1 11\nW3 21\nW3 31\n", "bad member row 'W3 21'"),
+        ("MONO-LINE n=2 color=0 active=1..1 fixed=2:1\nW1 11\nW2 21\nw3 31\n", "bad member row 'w3 31'"),
+    ],
+)
+def test_parse_certificate_names_what_is_wrong(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_certificate(text)
+    assert str(err.value) == message
+
+
 def test_gadget_route_matches_case_lemma_prediction():
     # the certified line index must be the first singleton of the d-vector
     for d, idx, color in case_lemma_check():
