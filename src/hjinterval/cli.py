@@ -27,7 +27,7 @@ from .cnf import (
     solve_builtin,
     write_dimacs_file,
 )
-from .cube import Coloring, load_coloring, save_coloring
+from .cube import Coloring, is_count, load_coloring, save_coloring
 from .drup import check_proof, parse_proof
 from .gadgets import (
     SEED_LENGTHS,
@@ -51,7 +51,7 @@ SOLVER_ENV = "HJ_SOLVER"
 
 def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
-    if len(parts) != 4:
+    if len(parts) != 4 or not all(is_count(p) for p in parts):
         raise ValueError(f"need four comma-separated cuts, got {text!r}")
     return tuple(int(p) for p in parts)
 
@@ -226,9 +226,10 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    rows = tower(args.cap)
     print("pattern-lengths=" + ",".join(str(t) for t in SEED_LENGTHS))
     print(f"cap-digits={args.cap}")
-    for name, expr in tower(args.cap):
+    for name, expr in rows:
         print(f"{name}={expr.render()}")
     return 0
 
@@ -239,12 +240,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("--kind pattern needs --d with five bits")
         coloring = pattern_coloring(args.n, _parse_color_vector(args.d))
     elif args.kind == "random":
+        if args.d is not None:
+            raise ValueError("--kind random takes no --d")
         coloring = Coloring.random(args.n, args.seed)
     else:
-        colour = int(args.d[0]) if args.d else 0
-        if colour not in (0, 1):
+        if args.d not in (None, "0", "1"):
             raise ValueError("constant colour must be 0 or 1")
-        coloring = Coloring.constant(args.n, colour)
+        coloring = Coloring.constant(args.n, int(args.d or 0))
     save_coloring(coloring, args.out)
     print(f"n={args.n}")
     print(f"kind={args.kind}")
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a colouring file")
     p.add_argument("--n", type=dimension, required=True)
     p.add_argument("--kind", choices=("pattern", "random", "constant"), required=True)
-    p.add_argument("--d", help="five pattern colours like 01100 (pattern kind)")
+    p.add_argument("--d", help="five pattern colours like 01100 (pattern kind), or 0 or 1 (constant kind)")
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

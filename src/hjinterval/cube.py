@@ -219,7 +219,7 @@ def m_interval_line_members(n: int, m: int) -> np.ndarray:
     cube.  A row is the rank of the pinned letters (moving letter 1) plus v
     times the summed weight 3**(n-i) of the active coordinates i, v = 0, 1, 2.
     Cached because the table is the hot input to violation counting, search
-    and encoding.
+    and encoding, and read-only because every caller shares it.
     """
     actives = m_interval_active_sets(n, m)
     steps = np.arange(3, dtype=np.int64)
@@ -244,6 +244,7 @@ def m_interval_line_members(n: int, m: int) -> np.ndarray:
         stop = start + 3 ** len(weights)
         np.add(high[:, None, None], low, out=out[start:stop].reshape(len(high), len(low), 3))
         start = stop
+    out.setflags(write=False)
     return out
 
 
@@ -344,6 +345,8 @@ def is_monochromatic(coloring: Coloring, line: Line) -> bool:
 # 6 * 2 * 2 = 24) acts on colourings without changing whether a
 # monochromatic interval line exists.  Per-coordinate letter permutations
 # would break line structure and are deliberately not representable here.
+# The group acts on the axes of the (3,)*n cube: one letter permutation on
+# every axis, and reversal as a transpose.
 
 
 @dataclass(frozen=True)
@@ -362,16 +365,6 @@ class Symmetry:
         if sorted(self.letter_perm) != [1, 2, 3]:
             raise ValueError(f"{self.letter_perm} is not a permutation of (1,2,3)")
 
-    def apply_to_word(self, word: Word) -> Word:
-        letters = word.letters[::-1] if self.reverse else word.letters
-        return Word(tuple(self.letter_perm[v - 1] for v in letters))
-
-    def inverse(self) -> "Symmetry":
-        inv = [0, 0, 0]
-        for v, img in enumerate(self.letter_perm, start=1):
-            inv[img - 1] = v
-        return Symmetry(tuple(inv), self.reverse, self.swap_colors)
-
 
 def all_symmetries() -> tuple[Symmetry, ...]:
     """The full 24-element group, identity first."""
@@ -384,19 +377,17 @@ def all_symmetries() -> tuple[Symmetry, ...]:
     )
 
 
-@lru_cache(maxsize=64)
 def rank_permutation(g: Symmetry, n: int) -> np.ndarray:
     """Table P with P[i] = rank of the g-preimage of the word of rank i.
 
     The transformed colouring reads its cell i from cell P[i] of the
-    original (plus a colour flip when g swaps colours).
+    original (plus a colour flip when g swaps colours).  On the ranks laid
+    out as the (3,)*n cube, g^-1 takes letter g(v) back to v along every
+    axis, and reverses the axes when g reverses.
     """
-    ginv = g.inverse()
-    return np.fromiter(
-        (rank(ginv.apply_to_word(unrank(i, n))) for i in range(3**n)),
-        dtype=np.int64,
-        count=3**n,
-    )
+    inverse = np.argsort(g.letter_perm)
+    table = np.arange(3**n, dtype=np.int64).reshape((3,) * n)[np.ix_(*[inverse] * n)]
+    return (table.T if g.reverse else table).ravel()
 
 
 def apply_symmetry(coloring: Coloring, g: Symmetry) -> Coloring:

@@ -374,15 +374,14 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     seed pattern p, and d[0] for every other word."""
     d = _check_color_vector(d)
     longest = max(SEED_LENGTHS)
-    size = 3**n
-    ranks = np.arange(size, dtype=np.min_scalar_type(size))
-    # One pass over the coordinates: count the runs and pack the letters
-    # of the first `longest` runs base 4, so a contraction's code is unique.
-    runs = np.zeros(size, dtype=np.uint8)
-    code = np.zeros(size, dtype=np.uint16)
-    prev = np.zeros(size, dtype=np.uint8)  # no letter: coordinate 1 opens a run
+    # One pass over the axes of the (3,)*n cube, whose C order is rank order, with the
+    # letters along axis i broadcast: count the runs and pack the letters of the first
+    # `longest` runs base 4, so a contraction's code is unique.
+    runs = np.zeros((3,) * n, dtype=np.uint8)
+    code = np.zeros((3,) * n, dtype=np.uint16)
+    prev = 0  # no letter: coordinate 1 opens a run
     for i in range(n):
-        letter = (ranks // 3 ** (n - 1 - i) % 3 + 1).astype(np.uint8)
+        letter = np.arange(1, 4, dtype=np.uint8).reshape((3,) + (1,) * (n - 1 - i))
         new_run = letter != prev
         runs += new_run
         code = np.where(new_run & (runs <= longest), code * 4 + letter, code)
@@ -391,7 +390,7 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     colour_of_code = np.full(4**longest, d[0], dtype=np.uint8)
     for p, colour in zip(SEED_PATTERNS, d):
         colour_of_code[_pattern_code(p)] = colour
-    return Coloring(n, colour_of_code[code])
+    return Coloring(n, colour_of_code[code].ravel())
 
 
 def _pattern_code(pattern: Pattern) -> int:

@@ -1,11 +1,11 @@
-"""Slow references that the package's line tables are tested against, and a
-colouring builder the tests share."""
+"""Slow references that the package's line and symmetry tables are tested against,
+and a colouring builder the tests share."""
 
 import itertools
 
 import numpy as np
 
-from hjinterval.cube import ALPHABET, Coloring, Line, rank, runs_of, unrank
+from hjinterval.cube import ALPHABET, Coloring, Line, Symmetry, Word, rank, runs_of, unrank
 
 
 def coloring_from_bits(n, values):
@@ -45,3 +45,19 @@ def line_of_members(n, members):
     )
     assert [rank(p) for p in line.points()] == [int(r) for r in members]
     return line
+
+
+def symmetry_on_word(g, word):
+    """The word g(w): its coordinates reversed when g reverses, then each letter v
+    replaced by its image g.letter_perm[v - 1]."""
+    letters = word.letters[::-1] if g.reverse else word.letters
+    return Word(tuple(g.letter_perm[v - 1] for v in letters))
+
+
+def inverse_symmetry(g):
+    """g^-1: the inverse letter permutation with the same reversal and colour swap,
+    since the letter and position actions commute and each swap is an involution."""
+    inverse = [0, 0, 0]
+    for v, image in enumerate(g.letter_perm, start=1):
+        inverse[image - 1] = v
+    return Symmetry(tuple(inverse), g.reverse, g.swap_colors)

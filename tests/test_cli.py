@@ -65,6 +65,14 @@ NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..3"
         (("gen", "--n", "5", "--kind", "pattern", "--d", "0110"), "need five bits like 01100, got '0110'"),
         (("verify-gadgets", "--n", "4"), NO_CUTS_AT_4),
         (("verify-gadgets", "--n", "4", "--exhaustive-quadruples"), NO_CUTS_AT_4),
+        (("gen", "--n", "2", "--kind", "constant", "--d", "10"), "constant colour must be 0 or 1"),
+        (("gen", "--n", "2", "--kind", "constant", "--d", "x"), "constant colour must be 0 or 1"),
+        (("gen", "--n", "2", "--kind", "random", "--d", "01100"), "--kind random takes no --d"),
+        (("bound", "--cap", "0"), "cap must be at least one digit"),
+        (
+            ("verify-gadgets", "--n", "5", "--quadruple", "1,2,3,x"),
+            "need four comma-separated cuts, got '1,2,3,x'",
+        ),
     ],
 )
 def test_bad_values_are_refused_before_any_output(tmp_path, capsys, monkeypatch, argv, message):
@@ -615,7 +623,10 @@ def test_local_search_never_imports_numpy_random(tmp_path, child_env, argv, show
 
 
 @pytest.mark.parametrize("n, message", [(30, "Unable to allocate"), (40, "")])
-@pytest.mark.parametrize("verb", [["search", "--mode", "local"], ["gen", "--kind", "random"]])
+@pytest.mark.parametrize(
+    "verb",
+    [["search", "--mode", "local"], ["gen", "--kind", "random"], ["gen", "--kind", "pattern", "--d", "01100"]],
+)
 def test_cube_too_large_to_allocate_is_an_input_error(tmp_path, child_env, verb, n, message):
     # numpy refuses n=30 at once (at least 187 TiB) and the --n parser refuses n=40,
     # whose 3**n cells numpy cannot index; the address-space cap keeps the child small.

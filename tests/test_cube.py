@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hjinterval.cnf import encode
 from hjinterval.cube import (
     Coloring,
     Line,
@@ -30,7 +31,7 @@ from hjinterval.cube import (
 from hjinterval.gadgets import pattern_coloring
 from hjinterval.search import exhaustive_search, violation_count
 
-from oracles import coloring_from_bits, enumerate_m_interval_lines
+from oracles import coloring_from_bits, enumerate_m_interval_lines, inverse_symmetry, symmetry_on_word
 
 words = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(*([st.integers(1, 3)] * n)).map(Word)
@@ -152,6 +153,14 @@ def test_m_member_table_matches_enumeration():
             assert table.tolist() == expected
             actives = tuple(dict.fromkeys(line.active for line in lines))
             assert m_interval_active_sets(n, m) == actives
+
+
+def test_cached_member_table_is_read_only():
+    # Every encode and search in the process shares the cached table.
+    table = interval_line_members(2)
+    with pytest.raises(ValueError, match="read-only"):
+        table[:] = 0
+    assert encode(2).clauses[:2].tolist() == [[1, 4, 7], [-1, -4, -7]]
 
 
 def _sample_colourings(n):
@@ -277,19 +286,43 @@ def test_symmetry_group_size():
 
 
 def test_symmetry_word_action():
-    g = Symmetry(reverse=True)
-    assert g.apply_to_word(Word.from_text("123")) == Word.from_text("321")
-    perm = all_symmetries()[1]
-    assert perm.apply_to_word(Word.from_text("111")) != Word.from_text("111") or (
-        perm.letter_perm[0] == 1
-    )
+    # Cell i of the transformed colouring reads from the g-preimage of word i.
+    p = rank_permutation(Symmetry(reverse=True), 3)
+    assert p[rank(Word.from_text("321"))] == rank(Word.from_text("123"))
+    assert rank_permutation(Symmetry((2, 3, 1)), 1).tolist() == [2, 0, 1]
+    for g in all_symmetries()[1:]:
+        p = rank_permutation(g, 1)
+        assert p.tolist() != [0, 1, 2] or g.reverse or g.swap_colors
 
 
 def test_symmetry_inverse_and_compose():
+    c = Coloring.random(4, seed=5)
+    identity = np.arange(3**4)
+    for g in all_symmetries():
+        p, pinv = rank_permutation(g, 4), rank_permutation(inverse_symmetry(g), 4)
+        assert p[pinv].tolist() == identity.tolist()
+        assert pinv[p].tolist() == identity.tolist()
+        assert apply_symmetry(apply_symmetry(c, g), inverse_symmetry(g)) == c
+        for h in all_symmetries():
+            gh = Symmetry(
+                tuple(g.letter_perm[v - 1] for v in h.letter_perm),
+                g.reverse != h.reverse,
+                g.swap_colors != h.swap_colors,
+            )
+            assert apply_symmetry(apply_symmetry(c, h), g) == apply_symmetry(c, gh)
+
+
+def test_rank_permutation_matches_word_action():
     w = Word.from_text("1232")
     for g in all_symmetries():
-        assert g.inverse().apply_to_word(g.apply_to_word(w)) == w
-        assert g.apply_to_word(g.inverse().apply_to_word(w)) == w
+        ginv = inverse_symmetry(g)
+        assert symmetry_on_word(ginv, symmetry_on_word(g, w)) == w
+        assert symmetry_on_word(g, symmetry_on_word(ginv, w)) == w
+        for n in range(1, 6):
+            expected = [rank(symmetry_on_word(ginv, unrank(i, n))) for i in range(3**n)]
+            table = rank_permutation(g, n)
+            assert table.dtype == np.int64
+            assert table.tolist() == expected
 
 
 def test_apply_symmetry_reversal():
@@ -313,11 +346,14 @@ def test_rank_permutation_is_permutation():
 
 
 def test_symmetries_preserve_interval_lines():
-    lines = {frozenset(l.points()) for l in enumerate_m_interval_lines(3)}
-    for g in all_symmetries():
-        for l in enumerate_m_interval_lines(3):
-            image = frozenset(g.apply_to_word(w) for w in l.points())
-            assert image in lines
+    # Each g permutes the rows of the member table, as a set of member sets.
+    for n in range(1, 5):
+        for m in (1, 2):
+            members = m_interval_line_members(n, m)
+            lines = {frozenset(row) for row in members.tolist()}
+            for g in all_symmetries():
+                image = rank_permutation(g, n)[members]
+                assert {frozenset(row) for row in image.tolist()} == lines
 
 
 @given(st.integers(0, 23), st.integers(0, 2**9 - 1))
