@@ -50,7 +50,6 @@ from .gadgets import (
     homogeneous_colors,
     induced_coloring,
     nsets,
-    parse_certificate,
     pattern_coloring,
     render_certificate,
 )

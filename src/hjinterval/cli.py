@@ -93,15 +93,13 @@ def _parse_color_vector(text: str) -> tuple[int, ...]:
 
 def cmd_verify_gadgets(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 5:
+        raise ValueError(f"n={n} has no quadruple of cuts inside 1..n-1: four cuts need n >= 5")
     if args.exhaustive_quadruples:
         quads = [Quadruple(n, c) for c in itertools.combinations(range(1, n), 4)]
-        if not quads:
-            raise ValueError(f"n={n} has no quadruple of cuts inside 1..{n - 1}")
     elif args.quadruple is not None:
         quads = [Quadruple(n, _parse_quadruple(args.quadruple))]
     else:
-        if n < 5:
-            raise ValueError(f"n={n} has no quadruple of cuts inside 1..{n - 1}")
         quads = [Quadruple(n, (1, 2, 3, 4))]
     checked = 0
     for quad in quads:

@@ -6,9 +6,10 @@ line is the three-point set obtained by fixing the letters outside an
 same moving letter 1, 2, 3.  The interesting lines here are the ones
 whose active set is a single contiguous interval (or a union of at most
 m intervals); this module provides the bookkeeping everything else
-builds on: ranking, the line table, a scan that returns the first
-monochromatic line in the table's row order, colouring storage, the
-symmetry group that respects interval lines, and the file format.
+builds on: ranking, the line table, one scan of the cube that yields the
+monochromatic lines block by block in the table's row order (for the first
+hit or the count), colouring storage, the symmetry group that respects
+interval lines, and the file format.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -253,15 +254,21 @@ def interval_line_members(n: int) -> np.ndarray:
     return m_interval_line_members(n, 1)
 
 
-def first_mono_line(bits: np.ndarray, n: int, m: int = 1) -> Line | None:
-    """The first line, in the row order of :func:`m_interval_line_members`, that the colour
-    array ``bits`` makes monochromatic, or None, without the table: fixing a block's active
-    coordinates to one letter leaves a view of the cube whose cells, in C order, are its
-    rows, so the index of the first hit is the line's pinned letters."""
+def mono_masks(bits: np.ndarray, n: int, m: int = 1) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Each active set of :func:`m_interval_active_sets` with the mask of its block's lines
+    that the colour array ``bits`` makes monochromatic, without the table: fixing the active
+    coordinates to one letter leaves a view of the cube whose cells, in C order, are the
+    block's rows, so a mask's index spells the pinned letters of its line."""
     cube = bits.reshape((3,) * n)
     for active in m_interval_active_sets(n, m):
         a, b, c = (cube[tuple(v if i in active else slice(None) for i in range(1, n + 1))] for v in range(3))
-        mono = (a == b) & (b == c)
+        yield active, (a == b) & (b == c)
+
+
+def first_mono_line(bits: np.ndarray, n: int, m: int = 1) -> Line | None:
+    """The first line, in the row order of :func:`m_interval_line_members`, that the colour
+    array ``bits`` makes monochromatic, or None: the first hit of :func:`mono_masks`."""
+    for active, mono in mono_masks(bits, n, m):
         if mono.any():
             rest = (i for i in range(1, n + 1) if i not in active)
             letters = np.unravel_index(mono.argmax(), mono.shape)

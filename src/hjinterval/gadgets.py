@@ -34,7 +34,6 @@ from .cube import (
     Word,
     first_mono_line,
     interval_line,
-    is_count,
     is_monochromatic,
 )
 from .patterns import Pattern, realize
@@ -281,51 +280,6 @@ def render_certificate(cert: LineCertificate | None, method: str = "direct") -> 
     head = f"MONO-LINE n={line.n} color={cert.color} active={line.lo}..{line.hi} fixed={fixed}"
     rows = [head] + [f"W{i} {w}" for i, w in enumerate(line.points(), start=1)]
     return "\n".join(rows) + "\n"
-
-
-def parse_certificate(text: str) -> LineCertificate | None:
-    """Inverse of :func:`render_certificate`; None for absence markers."""
-    rows = [r for r in text.split("\n") if r]
-    if not rows:
-        raise ValueError("empty certificate text")
-    if rows[0].startswith("NONE"):
-        parts = rows[0].split(" ")
-        if len(parts) != 2 or not parts[1].startswith("method="):
-            raise ValueError(f"bad absence marker {rows[0]!r}")
-        return None
-    fields = rows[0].split(" ")
-    if len(fields) != 5 or fields[0] != "MONO-LINE":
-        raise ValueError(f"bad certificate header {rows[0]!r}")
-    kv = {}
-    for tok in fields[1:]:
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise ValueError(f"bad certificate field {tok!r}")
-        kv[key] = val
-    try:
-        lo_s, _, hi_s = kv["active"].partition("..")
-        pairs = [pair.partition(":")[::2] for pair in kv["fixed"].split(",")] if kv["fixed"] else []
-        numbers = [kv["n"], kv["color"], lo_s, hi_s, *itertools.chain.from_iterable(pairs)]
-    except KeyError as exc:
-        raise ValueError(f"bad certificate header {rows[0]!r}") from exc
-    if not all(map(is_count, numbers)):
-        raise ValueError(f"bad certificate header {rows[0]!r}")
-    n, color, lo, hi, *fixed = map(int, numbers)
-    if len(rows) != 4:
-        raise ValueError("certificate needs exactly three member rows")
-    members = []
-    for i, row in enumerate(rows[1:4], start=1):
-        tag, _, wtext = row.partition(" ")
-        if tag != f"W{i}":
-            raise ValueError(f"bad member row {row!r}")
-        members.append(Word.from_text(wtext))
-    # The rows bound n, so the line below is no larger than the text.
-    if any(w.n != n for w in members):
-        raise ValueError(f"certificate header n={n} does not match the length of its member rows")
-    line = interval_line(n, lo, hi, dict(zip(fixed[::2], fixed[1::2])))
-    if line.points() != tuple(members):
-        raise ValueError("certificate members do not match the line's points")
-    return LineCertificate(line, color)
 
 
 # --- line extraction ---------------------------------------------------------

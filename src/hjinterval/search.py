@@ -9,8 +9,12 @@ count with sideways moves and restarts seeded into ``random.Random``; it
 keeps each line's count of ones and each cell's flip score in Python
 lists, so a flip touches only the lines through its cell.  Only the cells
 whose flip adds no violation are filed, in one ascending list per score,
-so the best flip needs no scan and a sideways pick needs no sort.  Either
-way, the reported count is re-checked by a direct scan.
+so the best flip needs no scan and a sideways pick needs no sort.  The
+encoding and the descent read the member table; a reported colouring is
+checked by the cube scan of :func:`~hjinterval.cube.mono_masks`, which does
+not: each SAT model is decoded and scanned by
+:func:`~hjinterval.cnf.decode_model`, and a local search's count comes
+from the scan.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .cnf import CnfInstance, encode, solve_builtin
-from .cube import Coloring, interval_line_members
+from .cnf import CnfInstance, decode_model, encode, solve_builtin
+from .cube import Coloring, interval_line_members, mono_masks
 from .drup import check_proof
 
 OUTCOME_FOUND = "avoider-found"
@@ -36,9 +40,8 @@ OUTCOME_INCONCLUSIVE = "inconclusive"
 
 
 def violation_count(coloring: Coloring) -> int:
-    """How many interval lines are monochromatic under the colouring."""
-    cols = coloring.bits[interval_line_members(coloring.n)]
-    return int(((cols[:, 0] == cols[:, 1]) & (cols[:, 1] == cols[:, 2])).sum())
+    """How many interval lines are monochromatic under the colouring, by the cube scan."""
+    return sum(int(np.count_nonzero(mono)) for _, mono in mono_masks(coloring.bits, coloring.n))
 
 
 @dataclass
@@ -53,12 +56,6 @@ class SearchReport:
     seed: int | None = None
     budget: int | None = None
     stats: dict[str, int | float] = field(default_factory=dict)
-
-    def semantic_fields(self) -> tuple:
-        """Everything except timing, for determinism comparisons."""
-        stats = {k: v for k, v in self.stats.items() if k != "wall_time_s"}
-        bits = self.coloring.bitstring if self.coloring is not None else None
-        return (self.mode, self.n, self.outcome, bits, self.violations, self.seed, self.budget, stats)
 
 
 def render_search_report(report: SearchReport) -> str:
@@ -86,9 +83,11 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
     current model colours 1 is asked again with the cells before it fixed
     and itself at 0: a model replaces the current one, UNSAT fixes it at 1.
     Every UNSAT answer counts only once :func:`check_proof` accepts its
-    proof.  use_symmetry adds the colour-swap unit of :func:`encode`; the
-    answer is the same either way, as the swap maps an avoider that starts
-    with 1 to a smaller one.
+    proof, and every model is decoded by :func:`decode_model`, whose scan
+    of the cube raises :class:`~hjinterval.cnf.EncoderBugError` on a model
+    with a monochromatic line.  use_symmetry adds the colour-swap unit of
+    :func:`encode`; the answer is the same either way, as the swap maps an
+    avoider that starts with 1 to a smaller one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -96,15 +95,15 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
     base = encode(n, sym_break=use_symmetry)
     stats = {"solves": 0, "unsat_steps": 0, "lemmas": 0}
 
-    def model_with(units: list[int]) -> np.ndarray | None:
-        """A model of the formula with these unit clauses added, as bits, or None."""
+    def model_with(units: list[int]) -> Coloring | None:
+        """A model of the formula with these unit clauses added, decoded, or None."""
         rows = np.zeros((len(units), base.clauses.shape[1]), dtype=np.int32)
         rows[:, 0] = units
         formula = CnfInstance(base.n_vars, np.vstack((base.clauses, rows)))
         outcome = solve_builtin(formula)
         stats["solves"] += 1
         if outcome.status == "sat":
-            return (np.array(outcome.model) > 0).astype(np.uint8)
+            return decode_model(outcome.model, n)
         reason = check_proof(formula.clause_tuples(), outcome.proof)
         if reason is not None:
             raise RuntimeError(f"internal error: the built-in solver's refutation fails: {reason}")
@@ -115,18 +114,13 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
     model = model_with([])
     decided: list[int] = []  # one unit clause per cell fixed so far, in rank order
     for cell in range(3**n if model is not None else 0):
-        if model[cell] and (better := model_with([*decided, -1 - cell])) is not None:
+        if model.bits[cell] and (better := model_with([*decided, -1 - cell])) is not None:
             model = better
-        decided.append(cell + 1 if model[cell] else -1 - cell)
+        decided.append(cell + 1 if model.bits[cell] else -1 - cell)
     stats["wall_time_s"] = time.perf_counter() - t0
     if model is None:
         return SearchReport("exhaustive", n, OUTCOME_REFUTED, stats=stats)
-    coloring = Coloring(n, model)
-    if violation_count(coloring) != 0:
-        raise RuntimeError("internal error: exhaustive search reported a non-avoider")
-    return SearchReport(
-        "exhaustive", n, OUTCOME_FOUND, coloring=coloring, violations=0, stats=stats
-    )
+    return SearchReport("exhaustive", n, OUTCOME_FOUND, coloring=model, violations=0, stats=stats)
 
 
 # --- local search ------------------------------------------------------------

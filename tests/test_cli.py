@@ -11,7 +11,7 @@ from hjinterval import cli
 from hjinterval.cli import main
 from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
 from hjinterval.cube import load_coloring
-from hjinterval.gadgets import parse_certificate, pattern_coloring
+from hjinterval.gadgets import find_interval_line, pattern_coloring, render_certificate
 from hjinterval.search import exhaustive_search, violation_count
 
 
@@ -55,7 +55,7 @@ def test_verify_gadgets_bad_quadruple(capsys):
     assert "error:" in err
 
 
-NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..3"
+NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..n-1: four cuts need n >= 5"
 
 
 @pytest.mark.parametrize(
@@ -73,6 +73,8 @@ NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..3"
             ("verify-gadgets", "--n", "5", "--quadruple", "1,2,3,x"),
             "need four comma-separated cuts, got '1,2,3,x'",
         ),
+        (("verify-gadgets", "--n", "0"), NO_CUTS_AT_4.replace("n=4", "n=0")),
+        (("verify-gadgets", "--n", "4", "--quadruple", "1,2,3,4"), NO_CUTS_AT_4),
     ],
 )
 def test_bad_values_are_refused_before_any_output(tmp_path, capsys, monkeypatch, argv, message):
@@ -150,8 +152,8 @@ def test_find_line_gadget_certificate(tmp_path, capsys):
     )
     assert code == 0
     assert "active=3..3" in out
-    cert = parse_certificate(cert_path.read_text())
-    assert cert.verify(pattern_coloring(5, (0, 1, 1, 0, 0)))
+    cert = find_interval_line(pattern_coloring(5, (0, 1, 1, 0, 0)), "gadget")
+    assert cert_path.read_text() == out == render_certificate(cert, "gadget")
 
 
 def test_find_line_direct_none_is_definitive(tmp_path, capsys):
