@@ -27,7 +27,7 @@ from .cnf import (
     solve_builtin,
     write_dimacs_file,
 )
-from .cube import Coloring, is_count, load_coloring, save_coloring
+from .cube import Coloring, is_count, load_coloring, rank, save_coloring
 from .drup import check_proof, parse_proof
 from .gadgets import (
     SEED_LENGTHS,
@@ -35,6 +35,7 @@ from .gadgets import (
     case_lemma_check,
     find_interval_line,
     gadget_lines,
+    gadget_rank_triples,
     pattern_coloring,
     render_certificate,
 )
@@ -104,6 +105,8 @@ def cmd_verify_gadgets(args: argparse.Namespace) -> int:
     checked = 0
     for quad in quads:
         lines = gadget_lines(quad)
+        if gadget_rank_triples(quad) != tuple(tuple(rank(w) for w in line.points()) for line in lines):
+            raise RuntimeError(f"construction broken: rank triples over cuts {quad.cuts} miss the lines")
         checked += len(lines)
         if len(quads) == 1:
             for idx, line in enumerate(lines, start=1):
@@ -125,12 +128,10 @@ def cmd_find_line(args: argparse.Namespace) -> int:
     text = render_certificate(cert, args.method)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    if cert is not None:
-        return 0
+        with open(args.out, "wb") as fh:
+            fh.write(text.encode("ascii"))
     # Only the direct scan proves absence; the other routes just failed.
-    return 0 if args.method == "direct" else 1
+    return 0 if cert is not None or args.method == "direct" else 1
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -156,8 +157,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    with open(args.cnf, "r", encoding="ascii") as fh:
-        instance = parse_dimacs(fh.read())
+    with open(args.cnf, "rb") as fh:
+        instance = parse_dimacs(fh.read().decode("ascii"))
     command = args.solver or os.environ.get(SOLVER_ENV)
     deadline = None if args.timeout is None else time.monotonic() + args.timeout
     if command:
@@ -216,10 +217,10 @@ def _report_proof(reason: str | None, lemmas: Sequence[Sequence[int]]) -> int:
 
 
 def cmd_check_proof(args: argparse.Namespace) -> int:
-    with open(args.cnf, "r", encoding="ascii") as fh:
-        instance = parse_dimacs(fh.read())
-    with open(args.proof, "r", encoding="ascii") as fh:
-        lemmas = parse_proof(fh.read())
+    with open(args.cnf, "rb") as fh:
+        instance = parse_dimacs(fh.read().decode("ascii"))
+    with open(args.proof, "rb") as fh:
+        lemmas = parse_proof(fh.read().decode("ascii"))
     return _report_proof(check_proof(instance.clause_tuples(), lemmas), lemmas)
 
 

@@ -206,8 +206,8 @@ def parse_dimacs(text: str) -> CnfInstance:
 
 
 def write_dimacs_file(instance: CnfInstance, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(_dimacs_lines(instance))
+    with open(path, "wb") as fh:
+        fh.writelines(text.encode("ascii") for text in _dimacs_lines(instance))
 
 
 @dataclass(frozen=True)

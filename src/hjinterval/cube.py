@@ -409,7 +409,7 @@ def apply_symmetry(coloring: Coloring, g: Symmetry) -> Coloring:
 #
 # Line 1: "HJC 3 <n>".  Line 2: exactly 3^n characters from {0,1}, position i
 # holding the colour of the word of rank i.  Trailing newline optional, any
-# other byte is an error.
+# other byte is an error.  Files open in binary mode, so ASCII decodes without a codec lookup.
 
 
 def is_count(text: str) -> bool:
@@ -447,10 +447,10 @@ def coloring_from_text(text: str) -> Coloring:
 
 
 def save_coloring(coloring: Coloring, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(coloring_to_text(coloring))
+    with open(path, "wb") as fh:
+        fh.write(coloring_to_text(coloring).encode("ascii"))
 
 
 def load_coloring(path: str) -> Coloring:
-    with open(path, "r", encoding="ascii") as fh:
-        return coloring_from_text(fh.read())
+    with open(path, "rb") as fh:
+        return coloring_from_text(fh.read().decode("ascii"))

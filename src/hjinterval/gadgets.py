@@ -15,28 +15,23 @@ The module exposes the construction itself (:func:`gadget_words`,
 homogeneity test over one quadruple of cuts (:func:`induced_coloring`,
 :func:`homogeneous_colors`), the line finder
 (:func:`find_interval_line`), and the certificate file format used to
-report verified monochromatic lines.  The paper reaches homogeneity by
-a Ramsey argument on a huge ground set; at desk scale the pipeline route
-only tests it over the cuts (1, 2, 3, 4).
+report verified monochromatic lines.  The routes rank words by arithmetic
+(:func:`block_ranks`), not Word objects.  The paper reaches homogeneity
+by a Ramsey argument on a huge ground set; at desk scale the pipeline
+route only tests it over the cuts (1, 2, 3, 4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cube import (
-    Coloring,
-    Line,
-    Word,
-    first_mono_line,
-    interval_line,
-    is_monochromatic,
-)
-from .patterns import Pattern, realize
+from .cube import Coloring, Line, Word, first_mono_line, interval_line, is_monochromatic, rank, unrank
+from .patterns import Pattern
 
 #: The five seed patterns, in the order their colour sets are consulted.
 SEED_PATTERNS: tuple[Pattern, ...] = tuple(
@@ -74,6 +69,16 @@ class Quadruple:
             raise ValueError(f"cuts {a} not strictly increasing inside 1..{self.n - 1}")
 
 
+def block_ranks(blocks: Iterable[Sequence[int]], cuts: Sequence[int], n: int) -> list[int]:
+    """The rank of the word with letter l_j on block j, for each letters (l_0, l_1, ...) in
+    blocks.  With c_0 = 0 < cuts < n, block j is c_j+1 .. c_(j+1); its coordinates i weigh
+    3**(n-i) in :func:`rank`, W_j = (3**(n-c_j) - 3**(n-c_(j+1))) / 2 together, so the rank is
+    sum (l_j - 1) W_j: sum l_j W_j less the rank 3**n // 2 of 22...2."""
+    weights = [(3 ** (n - lo) - 3 ** (n - hi)) // 2 for lo, hi in zip((0, *cuts), (*cuts, n))]
+    twos = 3**n // 2
+    return [sum(map(mul, letters, weights)) - twos for letters in blocks]
+
+
 def bracket_word(block_letters: Sequence[int], quad: Quadruple) -> Word:
     """The word constant on each of the five blocks cut out by the quadruple.
 
@@ -83,11 +88,9 @@ def bracket_word(block_letters: Sequence[int], quad: Quadruple) -> Word:
     breakpoint at each cut between two different letters.
     """
     b = tuple(block_letters)
-    if len(b) != 5:
-        raise ValueError("need exactly five block letters")
-    steps = [j for j in range(4) if b[j] != b[j + 1]]
-    pattern = Pattern((b[0],) + tuple(b[j + 1] for j in steps))
-    return realize(pattern, [quad.cuts[j] for j in steps], quad.n)
+    if len(b) != 5 or not set(b) <= {1, 2, 3}:
+        raise ValueError(f"need exactly five block letters from {{1,2,3}}, got {b!r}")
+    return unrank(block_ranks([b], quad.cuts, quad.n)[0], quad.n)
 
 
 _WORD_BLOCKS: dict[str, tuple[int, int, int, int, int]] = {
@@ -130,6 +133,21 @@ def gadget_words(quad: Quadruple) -> dict[str, Word]:
     return {name: bracket_word(blocks, quad) for name, blocks in _WORD_BLOCKS.items()}
 
 
+def gadget_rank_triples(quad: Quadruple) -> tuple[tuple[int, int, int], ...]:
+    """The ranks of the points of the five candidate lines over the cuts, by moving
+    letter: the points of gadget_lines(quad), by :func:`block_ranks` alone."""
+    ranks = dict(zip(_WORD_BLOCKS, block_ranks(_WORD_BLOCKS.values(), quad.cuts, quad.n)))
+    return tuple((ranks[a], ranks[b], ranks[c]) for (a, b, c), _, _ in _LINE_SPECS)
+
+
+def _candidate_line(quad: Quadruple, spec: int, first: int) -> Line:
+    """Candidate line spec + 1 over the cuts, pinned as its point of rank first outside its span."""
+    _, span_lo, span_hi = _LINE_SPECS[spec]
+    lo, hi = quad.cuts[span_lo] + 1, quad.cuts[span_hi]
+    base = unrank(first, quad.n).letters
+    return interval_line(quad.n, lo, hi, {i: v for i, v in enumerate(base, 1) if not lo <= i <= hi})
+
+
 def gadget_lines(quad: Quadruple) -> tuple[Line, ...]:
     """The five candidate interval lines over the given cuts; line i is entry i-1.
 
@@ -140,15 +158,12 @@ def gadget_lines(quad: Quadruple) -> tuple[Line, ...]:
     """
     words = gadget_words(quad)
     out = []
-    for idx, (names, span_lo, span_hi) in enumerate(_LINE_SPECS, start=1):
+    for idx, (names, _, _) in enumerate(_LINE_SPECS):
         members = tuple(words[name] for name in names)
-        lo, hi = quad.cuts[span_lo] + 1, quad.cuts[span_hi]
-        base = members[0]
-        fixed = {i: base[i] for i in range(1, quad.n + 1) if i < lo or i > hi}
-        line = interval_line(quad.n, lo, hi, fixed)
+        line = _candidate_line(quad, idx, rank(members[0]))
         if line.points() != members:
             raise RuntimeError(
-                f"construction broken: candidate line {idx} over cuts {quad.cuts} "
+                f"construction broken: candidate line {idx + 1} over cuts {quad.cuts} "
                 f"does not match its member words"
             )
         out.append(line)
@@ -215,10 +230,8 @@ def induced_coloring(
     size = len(pat) - 1
     if len(ground) < size:
         raise ValueError(f"ground set of {len(ground)} cannot host {size}-subsets")
-    return {
-        A: coloring.get(realize(pat, A, coloring.n))
-        for A in itertools.combinations(ground, size)
-    }
+    bits, n = coloring.bits, coloring.n
+    return {A: int(bits[block_ranks([pat.letters], A, n)[0]]) for A in itertools.combinations(ground, size)}
 
 
 def homogeneous_colors(coloring: Coloring, quad: Quadruple) -> ColorVector | None:
@@ -292,25 +305,27 @@ def find_interval_line(
 
     direct    scan the interval lines in row order up to the first
               monochromatic one; None is a proof of absence.
-    gadget    test the five candidate lines over every quadruple of
-              cuts; cheap, but None only means this route saw nothing.
-    pipeline  the paper's two steps at desk scale: test that every seed
-              pattern is homogeneous over the cuts 1..4, then certify
-              the line the case analysis picks; None again only means
+    gadget    read the colours at the five candidate lines' rank triples
+              over every quadruple of cuts, in order, and build the first
+              monochromatic one; None only means this route saw nothing.
+    pipeline  the paper's two steps at desk scale: test by ranks that
+              every seed pattern is homogeneous over the cuts 1..4, then
+              certify the line the case analysis picks; None only means
               the colouring is not homogeneous there (or n < 5).
 
     Whatever the route, a returned certificate has been re-verified
     against the colouring point by point.
     """
-    n = coloring.n
+    n, bits = coloring.n, coloring.bits
     if method == "direct":
-        line = first_mono_line(coloring.bits, n)
+        line = first_mono_line(bits, n)
         return None if line is None else _certified(coloring, line)
     if method == "gadget":
         for cuts in itertools.combinations(range(1, n), 4):
-            for line in gadget_lines(Quadruple(n, cuts)):
-                if is_monochromatic(coloring, line):
-                    return _certified(coloring, line)
+            quad = Quadruple(n, cuts)
+            for spec, (a, b, c) in enumerate(gadget_rank_triples(quad)):
+                if bits[a] == bits[b] == bits[c]:
+                    return _certified(coloring, _candidate_line(quad, spec, a))
         return None
     if method == "pipeline":
         if n < 5:
@@ -319,7 +334,8 @@ def find_interval_line(
         d = homogeneous_colors(coloring, quad)
         if d is None:
             return None
-        return _certified(coloring, gadget_lines(quad)[first_singleton_index(d) - 1])
+        spec = first_singleton_index(d) - 1
+        return _certified(coloring, _candidate_line(quad, spec, gadget_rank_triples(quad)[spec][0]))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -343,12 +359,5 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     code[runs > longest] = 0
     colour_of_code = np.full(4**longest, d[0], dtype=np.uint8)
     for p, colour in zip(SEED_PATTERNS, d):
-        colour_of_code[_pattern_code(p)] = colour
+        colour_of_code[int(str(p), 4)] = colour  # letters 1..3 are base-4 digits
     return Coloring(n, colour_of_code[code].ravel())
-
-
-def _pattern_code(pattern: Pattern) -> int:
-    code = 0
-    for v in pattern.letters:
-        code = code * 4 + v
-    return code

@@ -1,11 +1,24 @@
-"""Slow references that the package's line and symmetry tables are tested against,
-and a colouring builder the tests share."""
+"""Slow references that the package's line and symmetry tables and its gadget and
+pipeline routes are tested against, and a colouring builder the tests share."""
 
 import itertools
 
 import numpy as np
 
-from hjinterval.cube import ALPHABET, Coloring, Line, Symmetry, Word, rank, runs_of, unrank
+from hjinterval.cube import (
+    ALPHABET,
+    Coloring,
+    Line,
+    Symmetry,
+    Word,
+    interval_line,
+    is_monochromatic,
+    rank,
+    runs_of,
+    unrank,
+)
+from hjinterval.gadgets import SEED_PATTERNS, LineCertificate
+from hjinterval.patterns import Pattern, realize
 
 
 def coloring_from_bits(n, values):
@@ -61,3 +74,74 @@ def inverse_symmetry(g):
     for v, image in enumerate(g.letter_perm, start=1):
         inverse[image - 1] = v
     return Symmetry(tuple(inverse), g.reverse, g.swap_colors)
+
+
+# The five-line construction restated: each bracket word's letters on the five blocks
+# that four cuts carve out of 1..n, and each candidate line's members (by moving letter
+# 1, 2, 3) with its active span, from cut j (exclusive) to cut k (inclusive).
+GADGET_WORD_BLOCKS = {
+    "w1": (1, 3, 3, 3, 2),
+    "w2": (1, 2, 2, 3, 2),
+    "w3": (1, 3, 1, 1, 2),
+    "w4": (1, 3, 2, 3, 2),
+    "w5": (1, 3, 1, 3, 2),
+    "v1": (1, 1, 1, 3, 2),
+    "v2": (1, 1, 2, 3, 2),
+    "v3": (1, 3, 1, 2, 2),
+    "u1": (1, 3, 2, 2, 2),
+}
+GADGET_LINE_SPECS = (
+    (("v1", "w2", "w1"), 0, 2),
+    (("w3", "u1", "w1"), 1, 3),
+    (("v2", "w2", "w4"), 0, 1),
+    (("w3", "v3", "w5"), 2, 3),
+    (("w5", "w4", "w1"), 1, 2),
+)
+
+
+def reference_bracket_word(blocks, n, cuts):
+    """The word with blocks[j] on block j, realized from its contraction and a
+    breakpoint at each cut between two different letters."""
+    steps = [j for j in range(4) if blocks[j] != blocks[j + 1]]
+    pattern = Pattern((blocks[0],) + tuple(blocks[j + 1] for j in steps))
+    return realize(pattern, [cuts[j] for j in steps], n)
+
+
+def reference_gadget_lines(n, cuts):
+    """The five candidate lines over the cuts, built from Word objects: each is the
+    interval line over its span pinned as its first member, whose points must be its
+    three members."""
+    words = {name: reference_bracket_word(b, n, cuts) for name, b in GADGET_WORD_BLOCKS.items()}
+    out = []
+    for names, span_lo, span_hi in GADGET_LINE_SPECS:
+        members = tuple(words[name] for name in names)
+        lo, hi = cuts[span_lo] + 1, cuts[span_hi]
+        line = interval_line(n, lo, hi, {i: members[0][i] for i in range(1, n + 1) if i < lo or i > hi})
+        assert line.points() == members
+        out.append(line)
+    return out
+
+
+def reference_find_line(coloring, method):
+    """The certificate of the gadget or pipeline route, found with Word and Line objects.
+
+    gadget: the first monochromatic candidate line over the quadruples of cuts in
+    itertools.combinations order.  pipeline: None unless n >= 5 and each seed pattern
+    takes one colour on its words with breakpoints among the cuts 1..4; then the first
+    monochromatic candidate line over those cuts (the case analysis picks that one).
+    """
+    n = coloring.n
+    if method == "gadget":
+        quads = itertools.combinations(range(1, n), 4)
+    elif n >= 5 and all(
+        len({coloring.get(realize(p, A, n)) for A in itertools.combinations((1, 2, 3, 4), len(p) - 1)}) == 1
+        for p in SEED_PATTERNS
+    ):
+        quads = [(1, 2, 3, 4)]
+    else:
+        return None
+    for cuts in quads:
+        for line in reference_gadget_lines(n, cuts):
+            if is_monochromatic(coloring, line):
+                return LineCertificate(line, coloring.get(line.word_at(1)))
+    return None

@@ -10,7 +10,7 @@ import pytest
 from hjinterval import cli
 from hjinterval.cli import main
 from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
-from hjinterval.cube import load_coloring
+from hjinterval.cube import Coloring, coloring_to_text, load_coloring
 from hjinterval.gadgets import find_interval_line, pattern_coloring, render_certificate
 from hjinterval.search import exhaustive_search, violation_count
 
@@ -40,6 +40,12 @@ def test_verify_gadgets_exhaustive(capsys):
     code, out, _ = run_cli(capsys, "verify-gadgets", "--n", "6", "--exhaustive-quadruples")
     assert code == 0
     assert "quadruples-checked=5" in out
+
+
+def test_verify_gadgets_cross_checks_the_rank_triples(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gadget_rank_triples", lambda quad: ((0, 1, 2),) * 5)
+    with pytest.raises(RuntimeError, match="construction broken: rank triples over cuts"):
+        main(["verify-gadgets", "--n", "6", "--exhaustive-quadruples"])
 
 
 def test_verify_gadgets_quadruple_flags_are_exclusive(capsys):
@@ -199,6 +205,53 @@ def test_find_line_pipeline_miss_is_inconclusive(tmp_path, capsys, gen_args):
     code, out, _ = run_cli(capsys, "find-line", "--coloring", str(src), "--method", "pipeline")
     assert code == 1
     assert out == "NONE method=pipeline\n"
+
+
+@pytest.mark.parametrize("verb", ["find-line", "solve", "check-proof"])
+def test_non_ascii_input_is_an_input_error(tmp_path, capsys, verb):
+    good, bad = tmp_path / "good.cnf", tmp_path / "bad.txt"
+    write_dimacs_file(encode(1), str(good))
+    bad.write_bytes("HJC 3 1\n01\u00e9\n".encode())
+    argv = {
+        "find-line": ["--coloring", str(bad)],
+        "solve": ["--cnf", str(bad)],
+        "check-proof": ["--cnf", str(good), "--proof", str(bad)],
+    }[verb]
+    code, out, err = run_cli(capsys, verb, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'ascii' codec can't decode byte 0xc3 in position 10")
+
+
+NO_CODEC_LOOKUP = """\
+import sys
+from hjinterval.cli import main
+for argv in (
+    ["gen", "--n", "3", "--kind", "random", "--out", "c.hjc"],
+    ["find-line", "--coloring", "c.hjc", "--method", "gadget", "--out", "cert.txt"],
+    ["encode", "--n", "2", "--out", "e.cnf"],
+    ["solve", "--cnf", "e.cnf"],
+    ["check-proof", "--cnf", "e.cnf", "--proof", "empty.drup"],
+):
+    main(argv)
+assert "encodings.ascii" not in sys.modules, "a file was opened in text mode"
+"""
+
+
+def test_file_io_never_looks_up_the_ascii_codec(tmp_path, child_env):
+    # A text-mode open(..., encoding="ascii") imports encodings.ascii, at 0.3-0.4 ms a
+    # process; bytes.decode("ascii") and str.encode("ascii") take a built-in fast path.
+    (tmp_path / "empty.drup").write_bytes(b"")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_CODEC_LOOKUP],
+        capture_output=True,
+        cwd=tmp_path,
+        env={**child_env, "PYTHONIOENCODING": "utf-8"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "c.hjc").read_bytes() == coloring_to_text(Coloring.random(3, 0)).encode()
+    assert (tmp_path / "e.cnf").read_bytes() == write_dimacs(encode(2)).encode()
+    assert (tmp_path / "cert.txt").read_bytes() in proc.stdout
 
 
 def test_find_line_missing_file(capsys):
