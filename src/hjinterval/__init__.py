@@ -41,7 +41,6 @@ from .gadgets import (
     SEED_PATTERNS,
     LineCertificate,
     Quadruple,
-    bracket_word,
     case_lemma_check,
     find_interval_line,
     first_singleton_index,

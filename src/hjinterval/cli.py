@@ -27,7 +27,7 @@ from .cnf import (
     solve_builtin,
     write_dimacs_file,
 )
-from .cube import Coloring, is_count, load_coloring, rank, save_coloring
+from .cube import Coloring, is_count, load_coloring, save_coloring
 from .drup import check_proof, parse_proof
 from .gadgets import (
     SEED_LENGTHS,
@@ -35,7 +35,6 @@ from .gadgets import (
     case_lemma_check,
     find_interval_line,
     gadget_lines,
-    gadget_rank_triples,
     pattern_coloring,
     render_certificate,
 )
@@ -105,8 +104,6 @@ def cmd_verify_gadgets(args: argparse.Namespace) -> int:
     checked = 0
     for quad in quads:
         lines = gadget_lines(quad)
-        if gadget_rank_triples(quad) != tuple(tuple(rank(w) for w in line.points()) for line in lines):
-            raise RuntimeError(f"construction broken: rank triples over cuts {quad.cuts} miss the lines")
         checked += len(lines)
         if len(quads) == 1:
             for idx, line in enumerate(lines, start=1):

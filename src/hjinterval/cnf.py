@@ -92,6 +92,8 @@ def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
     With sym_break, one unit clause pins the rank-0 cell to colour 0;
     that is sound because the colour swap maps avoiders to avoiders.
     """
+    if not 1 <= m < 10**18:
+        raise ValueError(f"m={m} is outside 1..10**18-1, the m a {_HEADER_TAG} header holds")
     members = m_interval_line_members(n, m)
     rows = np.empty((2 * len(members) + bool(sym_break), 3), dtype=np.int32)
     lits = rows[: 2 * len(members) : 2]

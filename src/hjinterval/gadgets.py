@@ -10,15 +10,15 @@ pattern over a common ground set share one colour), the colours seen on
 line i form one of five small "colour sets", and a short case analysis
 shows some colour set is a singleton: that line is monochromatic.
 
-The module exposes the construction itself (:func:`gadget_words`,
-:func:`gadget_lines`, :func:`nsets`, :func:`case_lemma_check`), the
-homogeneity test over one quadruple of cuts (:func:`induced_coloring`,
-:func:`homogeneous_colors`), the line finder
-(:func:`find_interval_line`), and the certificate file format used to
-report verified monochromatic lines.  The routes rank words by arithmetic
-(:func:`block_ranks`), not Word objects.  The paper reaches homogeneity
-by a Ramsey argument on a huge ground set; at desk scale the pipeline
-route only tests it over the cuts (1, 2, 3, 4).
+The construction is written down once, as each word's block letters and
+each line's member words: :func:`block_ranks` ranks the words by
+arithmetic for the routes, and :func:`gadget_words` and :func:`gadget_lines`
+unrank them into Word and Line objects.  The module also holds the case
+analysis (:func:`nsets`), the homogeneity test over one quadruple of cuts
+(:func:`homogeneous_colors`), the line finder (:func:`find_interval_line`)
+and the certificate format for verified monochromatic lines.  The paper
+reaches homogeneity by a Ramsey argument on a huge ground set; at desk
+scale the pipeline route only tests it over the cuts (1, 2, 3, 4).
 """
 
 from __future__ import annotations
@@ -79,20 +79,6 @@ def block_ranks(blocks: Iterable[Sequence[int]], cuts: Sequence[int], n: int) ->
     return [sum(map(mul, letters, weights)) - twos for letters in blocks]
 
 
-def bracket_word(block_letters: Sequence[int], quad: Quadruple) -> Word:
-    """The word constant on each of the five blocks cut out by the quadruple.
-
-    Block j covers coordinates a(j-1)+1 .. a(j) (with a0 = 0 and a5 = n)
-    and carries block_letters[j-1].  Adjacent blocks may repeat a letter,
-    so the word realizes the contraction of the block letters with a
-    breakpoint at each cut between two different letters.
-    """
-    b = tuple(block_letters)
-    if len(b) != 5 or not set(b) <= {1, 2, 3}:
-        raise ValueError(f"need exactly five block letters from {{1,2,3}}, got {b!r}")
-    return unrank(block_ranks([b], quad.cuts, quad.n)[0], quad.n)
-
-
 _WORD_BLOCKS: dict[str, tuple[int, int, int, int, int]] = {
     "w1": (1, 3, 3, 3, 2),
     "w2": (1, 2, 2, 3, 2),
@@ -116,26 +102,24 @@ _LINE_SPECS: tuple[tuple[tuple[str, str, str], int, int], ...] = (
     (("w5", "w4", "w1"), 1, 2),
 )
 
-# Which of the five pattern colours can appear on line i.  Index p here
-# refers to SEED_PATTERNS[p]; line i is monochromatic exactly when the
-# colours of these patterns coincide.
-_COLOR_SET_PATTERNS: tuple[tuple[int, ...], ...] = (
-    (0, 1),
-    (0, 2),
-    (1, 3),
-    (2, 4),
-    (0, 3, 4),
+# The SEED_PATTERNS indices of line i's members' contractions (a letter per run of block
+# letters): line i is monochromatic exactly when the colours of these patterns coincide.
+_COLOR_SET_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(sorted({SEED_PATTERNS.index(Pattern(tuple(k for k, _ in itertools.groupby(_WORD_BLOCKS[w]))))
+                  for w in ws}))
+    for ws, _, _ in _LINE_SPECS
 )
 
 
 def gadget_words(quad: Quadruple) -> dict[str, Word]:
     """The nine bracket words over the given cuts, by name (w1..w5, v1..v3, u1)."""
-    return {name: bracket_word(blocks, quad) for name, blocks in _WORD_BLOCKS.items()}
+    ranks = block_ranks(_WORD_BLOCKS.values(), quad.cuts, quad.n)
+    return {name: unrank(r, quad.n) for name, r in zip(_WORD_BLOCKS, ranks)}
 
 
 def gadget_rank_triples(quad: Quadruple) -> tuple[tuple[int, int, int], ...]:
     """The ranks of the points of the five candidate lines over the cuts, by moving
-    letter: the points of gadget_lines(quad), by :func:`block_ranks` alone."""
+    letter, by :func:`block_ranks` alone: gadget_lines(quad) is built from them."""
     ranks = dict(zip(_WORD_BLOCKS, block_ranks(_WORD_BLOCKS.values(), quad.cuts, quad.n)))
     return tuple((ranks[a], ranks[b], ranks[c]) for (a, b, c), _, _ in _LINE_SPECS)
 
@@ -151,17 +135,15 @@ def _candidate_line(quad: Quadruple, spec: int, first: int) -> Line:
 def gadget_lines(quad: Quadruple) -> tuple[Line, ...]:
     """The five candidate interval lines over the given cuts; line i is entry i-1.
 
-    Each line's points are re-checked to be exactly its three named
-    bracket words, ordered by moving letter.  A failure here would
-    falsify the construction itself, so it aborts loudly instead of
-    returning partial output.
+    Line i is built from its triple in :func:`gadget_rank_triples`, and its
+    points' ranks are re-checked to be that triple: block arithmetic against
+    interval_line and rank, which share no code.  A failure would falsify the
+    construction itself, so it aborts loudly instead of returning partial output.
     """
-    words = gadget_words(quad)
     out = []
-    for idx, (names, _, _) in enumerate(_LINE_SPECS):
-        members = tuple(words[name] for name in names)
-        line = _candidate_line(quad, idx, rank(members[0]))
-        if line.points() != members:
+    for idx, (a, b, c) in enumerate(gadget_rank_triples(quad)):
+        line = _candidate_line(quad, idx, a)
+        if tuple(map(rank, line.points())) != (a, b, c):
             raise RuntimeError(
                 f"construction broken: candidate line {idx + 1} over cuts {quad.cuts} "
                 f"does not match its member words"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hjinterval import cli
+from hjinterval import cli, gadgets
 from hjinterval.cli import main
 from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
 from hjinterval.cube import Coloring, coloring_to_text, load_coloring
@@ -43,9 +43,11 @@ def test_verify_gadgets_exhaustive(capsys):
 
 
 def test_verify_gadgets_cross_checks_the_rank_triples(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "gadget_rank_triples", lambda quad: ((0, 1, 2),) * 5)
-    with pytest.raises(RuntimeError, match="construction broken: rank triples over cuts"):
+    monkeypatch.setattr(gadgets, "gadget_rank_triples", lambda quad: ((0, 1, 2),) * 5)
+    broken = r"construction broken: candidate line 1 over cuts \(1, 2, 3, 4\) does not match"
+    with pytest.raises(RuntimeError, match=broken):
         main(["verify-gadgets", "--n", "6", "--exhaustive-quadruples"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_gadgets_quadruple_flags_are_exclusive(capsys):
@@ -81,11 +83,15 @@ NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..n-1: four cuts need n >= 
         ),
         (("verify-gadgets", "--n", "0"), NO_CUTS_AT_4.replace("n=4", "n=0")),
         (("verify-gadgets", "--n", "4", "--quadruple", "1,2,3,4"), NO_CUTS_AT_4),
+        (
+            ("encode", "--n", "2", "--max-intervals", str(10**20)),
+            f"m={10**20} is outside 1..10**18-1, the m a hjinterval header holds",
+        ),
     ],
 )
 def test_bad_values_are_refused_before_any_output(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
-    out_args = ("--out", "c.hjc") if argv[0] == "gen" else ()
+    out_args = ("--out", "c.hjc") if argv[0] in ("gen", "encode") else ()
     code, out, err = run_cli(capsys, *argv, *out_args)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "c.hjc").exists()

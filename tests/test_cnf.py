@@ -237,6 +237,16 @@ def test_encode_rejects_bad_args():
         encode(0)
     with pytest.raises(ValueError):
         encode(2, m=0)
+    with pytest.raises(ValueError, match=r"m=1000000000000000000 is outside 1..10\*\*18-1"):
+        encode(2, m=10**18)
+
+
+def test_encode_largest_m_parses_back():
+    # the header's m has at most 18 digits, so the largest m encode takes still parses
+    instance = encode(2, m=10**18 - 1)
+    back = parse_dimacs(write_dimacs(instance))
+    assert back.family == (2, 10**18 - 1, False)
+    assert np.array_equal(back.clauses, instance.clauses)
 
 
 def test_row_walk_names_the_line_at_each_row(dimacs_n10):

@@ -16,7 +16,12 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
         ),
         (
             "proof_walkthrough.py",
-            ["32 cases, all hit", "MONO-LINE n=5 color=0 active=3..3 fixed=1:1,2:3,4:3,5:2"],
+            [
+                "w4 = 113323322   contracts to 13232",
+                "L1: active 3..5   {111113322, 112223322, 113333322}",
+                "32 cases, all hit",
+                "MONO-LINE n=5 color=0 active=3..3 fixed=1:1,2:3,4:3,5:2",
+            ],
         ),
         (
             "sat_frontier.py",

@@ -11,7 +11,6 @@ from hjinterval.gadgets import (
     LineCertificate,
     Quadruple,
     block_ranks,
-    bracket_word,
     case_lemma_check,
     find_interval_line,
     first_singleton_index,
@@ -81,11 +80,8 @@ def test_quadruple_validation():
 
 
 def test_bracket_word_example():
-    q = Quadruple(9, (2, 4, 5, 7))
-    assert str(bracket_word((1, 3, 2, 3, 2), q)) == "113323322"
-    for bad in ((1, 3, 2, 3), (1, 3, 4, 3, 2), (0, 3, 2, 3, 2)):
-        with pytest.raises(ValueError, match="five block letters"):
-            bracket_word(bad, q)
+    (r,) = block_ranks([(1, 3, 2, 3, 2)], (2, 4, 5, 7), 9)
+    assert str(unrank(r, 9)) == "113323322"
 
 
 def test_block_ranks_match_words_built_block_by_block():
@@ -201,14 +197,14 @@ def test_nsets_shape():
 
 def test_nsets_membership_rule():
     # N1={d1,d2} N2={d1,d3} N3={d2,d4} N4={d3,d5} N5={d1,d4,d5}
-    d = (0, 1, 0, 1, 0)
-    assert nsets(d) == (
-        frozenset({0, 1}),
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({0}),
-        frozenset({0, 1}),
-    )
+    for d1, d2, d3, d4, d5 in itertools.product((0, 1), repeat=5):
+        assert nsets((d1, d2, d3, d4, d5)) == (
+            frozenset({d1, d2}),
+            frozenset({d1, d3}),
+            frozenset({d2, d4}),
+            frozenset({d3, d5}),
+            frozenset({d1, d4, d5}),
+        )
 
 
 def test_first_singleton_index():
