@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .gadgets import MIN_GROUND_SIZE, SEED_LENGTHS
 
 DEFAULT_CAP_DIGITS = 10_000
+#: Every cap from 2 digits up gives the same tower; past 10**6 digits 10**cap_digits alone takes seconds.
+MAX_CAP_DIGITS = 10**6
 #: The bound for uniformity t recurses t levels deep: t stays below Python's recursion limit.
 MAX_UNIFORMITY = 900
 
@@ -115,6 +117,8 @@ def ramsey_upper(
         raise ValueError(f"uniformity t must be in 1..{MAX_UNIFORMITY}, not {t}")
     if cap_digits < 1:
         raise ValueError("cap must be at least one digit")
+    if cap_digits > MAX_CAP_DIGITS:
+        raise ValueError(f"cap must be at most {MAX_CAP_DIGITS} digits, not {cap_digits}")
     p, q = (x if isinstance(x, BoundExpr) else BoundExpr.exact(x) for x in (p, q))
     if p.is_exact and q.is_exact:
         if p.value < t or q.value < t:

@@ -84,26 +84,15 @@ def unrank(index: int, n: int) -> Word:
 
 
 def _check_line_parts(n: int, active: tuple[int, ...], fixed: tuple[tuple[int, int], ...]) -> None:
-    if n < 1:
-        raise ValueError("line needs dimension n >= 1")
-    if not active:
-        raise ValueError("line needs a nonempty active set")
-    if list(active) != sorted(set(active)):
-        raise ValueError("active coordinates must be strictly increasing")
-    if active[0] < 1 or active[-1] > n:
-        raise ValueError(f"active coordinates {active} outside 1..{n}")
-    fixed_pos = [p for p, _ in fixed]
-    if list(fixed_pos) != sorted(set(fixed_pos)):
-        raise ValueError("fixed coordinates must be strictly increasing")
-    for p, v in fixed:
-        if not 1 <= p <= n:
-            raise ValueError(f"fixed coordinate {p} outside 1..{n}")
-        if v not in (1, 2, 3):
-            raise ValueError(f"fixed letter {v} outside alphabet")
-    if set(fixed_pos) & set(active):
-        raise ValueError("active and fixed coordinates overlap")
-    if set(fixed_pos) | set(active) != set(range(1, n + 1)):
-        raise ValueError("active and fixed coordinates must cover 1..n")
+    """Active and fixed coordinates, each increasing, partition 1..n; fixed letters lie in ALPHABET."""
+    positions = [p for p, _ in fixed]
+    if not active or any(a >= b for c in (active, positions) for a, b in zip(c, c[1:])):
+        raise ValueError("a line needs a nonempty active set and strictly increasing coordinates")
+    if sorted([*active, *positions]) != list(range(1, n + 1)):
+        raise ValueError(f"active {active} and fixed {tuple(positions)} do not partition 1..{n}")
+    for _, v in fixed:
+        if v not in ALPHABET:
+            raise ValueError(f"fixed letter {v!r} outside alphabet {{1,2,3}}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +112,6 @@ class Line:
 
     def word_at(self, v: int) -> Word:
         """The line's point with moving letter v."""
-        if v not in (1, 2, 3):
-            raise ValueError(f"moving letter {v} outside alphabet")
         letters = [v] * self.n
         for p, x in self.fixed:
             letters[p - 1] = x
@@ -178,12 +165,7 @@ def line_names(
 
 def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None) -> Line:
     """Build the interval line with active set lo..hi and the given fixed letters."""
-    if not 1 <= lo <= hi <= n:
-        raise ValueError(f"interval {lo}..{hi} outside 1..{n}")
-    fixed = dict(fixed or {})
-    pairs = tuple(sorted(fixed.items()))
-    active = tuple(range(lo, hi + 1))
-    return Line(n, active, pairs)
+    return Line(n, tuple(range(lo, hi + 1)), tuple(sorted(dict(fixed or {}).items())))
 
 
 @lru_cache(maxsize=16)

@@ -86,7 +86,7 @@ def check_proof(
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError(f"the time limit passed with {k - 1} of {len(lemmas)} lemmas checked")
         if not (refuted or rup(lemma)):
-            return f"lemma {k} ({' '.join(map(str, lemma))} 0) does not follow by unit propagation"
+            return f"lemma {k} ({' '.join(map(str, (*lemma, 0)))}) does not follow by unit propagation"
         refuted = refuted or add(lemma)
     if not lemmas or lemmas[-1]:
         return "the proof does not end with the empty clause"

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cube import Coloring, Line, Word, first_mono_line, interval_line, is_monochromatic, rank, unrank
-from .patterns import Pattern
+from .patterns import Pattern, contract
 
 #: The five seed patterns, in the order their colour sets are consulted.
 SEED_PATTERNS: tuple[Pattern, ...] = tuple(
@@ -105,8 +105,7 @@ _LINE_SPECS: tuple[tuple[tuple[str, str, str], int, int], ...] = (
 # The SEED_PATTERNS indices of line i's members' contractions (a letter per run of block
 # letters): line i is monochromatic exactly when the colours of these patterns coincide.
 _COLOR_SET_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(sorted({SEED_PATTERNS.index(Pattern(tuple(k for k, _ in itertools.groupby(_WORD_BLOCKS[w]))))
-                  for w in ws}))
+    tuple(sorted({SEED_PATTERNS.index(contract(Word(_WORD_BLOCKS[w]))) for w in ws}))
     for ws, _, _ in _LINE_SPECS
 )
 

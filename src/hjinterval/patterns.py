@@ -1,9 +1,9 @@
 """Run structure of cube words: contraction, breakpoints, and realization.
 
-Collapsing every maximal constant run of a word to a single letter gives
-its contraction (no two adjacent letters equal).  The breakpoint set
-records where runs end; a word is recovered uniquely from its
-contraction plus its breakpoints.
+A pattern is a word with no two adjacent letters equal.  Collapsing every
+maximal constant run of a word to a single letter gives its contraction,
+a pattern.  The breakpoint set records where runs end; a word is
+recovered uniquely from its contraction plus its breakpoints.
 """
 
 from __future__ import annotations
@@ -15,30 +15,13 @@ from .cube import Word
 
 
 @dataclass(frozen=True)
-class Pattern:
+class Pattern(Word):
     """A word with no two adjacent letters equal."""
 
-    letters: tuple[int, ...]
-
     def __post_init__(self) -> None:
-        if not self.letters:
-            raise ValueError("pattern must be nonempty")
-        for v in self.letters:
-            if v not in (1, 2, 3):
-                raise ValueError(f"letter {v!r} outside alphabet {{1,2,3}}")
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a == b:
-                raise ValueError(f"adjacent equal letters in pattern {self.letters}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "Pattern":
-        return cls(tuple(int(ch) for ch in text))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return "".join(str(v) for v in self.letters)
+        super().__post_init__()
+        if any(a == b for a, b in zip(self.letters, self.letters[1:])):
+            raise ValueError(f"adjacent equal letters in pattern {self.letters}")
 
 
 def contract(word: Word) -> Pattern:

@@ -95,6 +95,11 @@ def test_cap_forces_symbolic():
     assert time.perf_counter() - start < 0.5
 
 
+def test_cap_past_a_million_digits_is_refused():
+    with pytest.raises(ValueError, match="cap must be at most 1000000 digits, not 1000001"):
+        ramsey_upper(2, 4, 4, 10**6 + 1)
+
+
 def test_symbolic_render_forms():
     e = ramsey_upper(3, 20, 20, cap_digits=50)
     assert e.render() == "R3(20,20)"

@@ -87,6 +87,7 @@ NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..n-1: four cuts need n >= 
             ("encode", "--n", "2", "--max-intervals", str(10**20)),
             f"m={10**20} is outside 1..10**18-1, the m a hjinterval header holds",
         ),
+        (("bound", "--cap", "1000001"), "cap must be at most 1000000 digits, not 1000001"),
     ],
 )
 def test_bad_values_are_refused_before_any_output(tmp_path, capsys, monkeypatch, argv, message):

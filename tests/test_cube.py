@@ -132,6 +132,37 @@ def test_interval_line_validates_bounds():
         interval_line(3, 1, 2, {2: 1})  # fixed coordinate inside the interval
 
 
+def test_line_points_of_a_direct_line():
+    line = Line(3, (2,), ((1, 2), (3, 1)))
+    assert tuple(map(str, line.points())) == ("211", "221", "231")
+
+
+@pytest.mark.parametrize(
+    "n, active, fixed",
+    [
+        (0, (1,), ()),  # n < 1
+        (2, (), ((1, 1), (2, 1))),  # empty active set
+        (2, (2, 1), ()),  # active set out of order
+        (3, (1,), ((2, 1), (2, 1))),  # repeated fixed position
+        (3, (1,), ((3, 1), (2, 1))),  # fixed positions out of order
+        (3, (1, 2), ((2, 1), (3, 1))),  # active and fixed overlap
+        (3, (1,), ((2, 1),)),  # coordinate 3 missing
+        (2, (0, 1), ((2, 1),)),  # coordinate 0
+        (2, (1,), ((2, 1), (3, 1))),  # coordinate n + 1
+        (2, (1,), ((2, 4),)),  # fixed letter 4
+    ],
+)
+def test_line_refuses_a_bad_part(n, active, fixed):
+    with pytest.raises(ValueError):
+        Line(n, active, fixed)
+
+
+@pytest.mark.parametrize("v", [0, 4])
+def test_line_point_needs_a_letter_of_the_alphabet(v):
+    with pytest.raises(ValueError):
+        Line(3, (2,), ((1, 2), (3, 1))).word_at(v)
+
+
 def test_member_table_matches_line_points():
     for n in range(1, 7):
         table = interval_line_members(n)

@@ -27,6 +27,10 @@ def test_rejects_a_lemma_that_does_not_follow():
     assert reason is not None and reason.startswith("lemma 1 (3 0)")
 
 
+def test_names_an_empty_lemma_that_does_not_follow_as_its_zero():
+    assert check_proof([(1, 2, 3)], [()]) == "lemma 1 (0) does not follow by unit propagation"
+
+
 def test_rejects_a_truncated_proof():
     inst = encode(4, m=4, sym_break=True)
     proof = solve_builtin(inst).proof

@@ -37,6 +37,20 @@ def test_pattern_rejects_adjacent_repeats():
         Pattern.from_text("122")
 
 
+@pytest.mark.parametrize("text", ["\u0661\u0663\u0662", "1x2"])
+def test_pattern_text_is_read_as_word_text(text):
+    with pytest.raises(ValueError, match="bad word text"):
+        Pattern.from_text(text)
+
+
+def test_pattern_is_a_word_but_not_equal_to_one():
+    assert isinstance(contract(Word.from_text("1132")), Word)
+    assert Pattern((1, 3, 2)) != Word((1, 3, 2))
+    for bad in ((), (1, 3, 3), (2, 2)):
+        with pytest.raises(ValueError):
+            Pattern(bad)
+
+
 def test_breakpoint_set_validates_range():
     # breakpoints of a length-n word lie in 1..n-1
     assert str(realize(Pattern.from_text("123"), (1, 4), 5)) == "12223"
