@@ -47,7 +47,6 @@ from .gadgets import (
     gadget_lines,
     gadget_words,
     homogeneous_colors,
-    induced_coloring,
     nsets,
     pattern_coloring,
     render_certificate,

@@ -20,6 +20,7 @@ from typing import Sequence
 from .bounds import DEFAULT_CAP_DIGITS, tower
 from .cnf import (
     EncoderBugError,
+    check_model,
     decode_model,
     encode,
     parse_dimacs,
@@ -133,7 +134,7 @@ def cmd_find_line(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     if args.mode == "exhaustive":
-        report = exhaustive_search(args.n, use_symmetry=not args.no_symmetry)
+        report = exhaustive_search(args.n)
     else:
         report = local_search(args.n, args.seed, args.budget, jobs=args.jobs)
     sys.stdout.write(render_search_report(report))
@@ -188,18 +189,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if outcome.status == "unknown":
         print(f"diagnostics={outcome.diagnostics}")
         return 1
-    if instance.family is None:
-        print("model=" + " ".join(str(lit) for lit in outcome.model))
-        return 0
-    n, m, _ = instance.family
     try:
-        coloring = decode_model(outcome.model, n, m)
+        # A family's model must also be complete and pass a direct scan of the family.
+        coloring = None if instance.family is None else decode_model(outcome.model, *instance.family[:2])
     except (EncoderBugError, ValueError) as exc:
-        # The model is contradictory or incomplete, or fails a direct scan of the encoded family.
+        reason = str(exc)
+    else:
+        reason = check_model(instance, outcome.model)
+    if reason is not None:
         print("verified=no")
-        print(f"diagnostics={culprit}: {exc}")
+        print(f"diagnostics={culprit}: {reason}")
         return 1
-    print(f"coloring={coloring.bitstring}")
+    model = "model=" + " ".join(map(str, outcome.model))
+    print(model if coloring is None else f"coloring={coloring.bitstring}")
     print("verified=yes")
     return 0
 
@@ -222,9 +224,9 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    rows = tower(args.cap)
+    rows = tower(DEFAULT_CAP_DIGITS)
     print("pattern-lengths=" + ",".join(str(t) for t in SEED_LENGTHS))
-    print(f"cap-digits={args.cap}")
+    print(f"cap-digits={DEFAULT_CAP_DIGITS}")
     for name, expr in rows:
         print(f"{name}={expr.render()}")
     return 0
@@ -275,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000)
-    p.add_argument("--no-symmetry", action="store_true", help="leave out the colour-swap unit clause")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for local restarts")
     p.add_argument("--out", help="avoider file (default avoider-n<N>.hjc)")
     p.set_defaults(func=cmd_search)
@@ -299,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser("bound", help="print the nested Ramsey bound tower")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP_DIGITS, help="digit cap for exact evaluation")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("gen", help="generate a colouring file")

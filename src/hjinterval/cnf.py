@@ -459,6 +459,25 @@ def solve_builtin(instance: CnfInstance, timeout: float | None = None) -> SolveO
                 assign(learnt[0], len(clauses) - 1)
 
 
+def check_model(instance: CnfInstance, model: Iterable[int]) -> str | None:
+    """None when the model makes every clause of the instance true, else the reason it
+    does not: a literal outside +-1..n_vars, a variable given both ways, or the first
+    clause with no true literal."""
+    value = np.zeros(2 * instance.n_vars + 1, dtype=bool)  # by literal; -lit wraps round
+    for lit in model:
+        if not 1 <= abs(lit) <= instance.n_vars:
+            return f"model literal {lit} outside +-1..{instance.n_vars}"
+        if value[-lit]:
+            return f"model assigns variable {abs(lit)} both ways"
+        value[lit] = True
+    satisfied = value[instance.clauses].any(axis=1)  # padding reads value[0], never set
+    if satisfied.all():
+        return None
+    k = int(satisfied.argmin())
+    clause = [lit for lit in instance.clauses[k].tolist() if lit]
+    return f"clause {k + 1} ({' '.join(map(str, (*clause, 0)))}) has no true literal"
+
+
 class EncoderBugError(RuntimeError):
     """A decoded model fails direct verification against the encoded family:
     the solver that produced it, or the encoder, is wrong."""

@@ -201,8 +201,8 @@ def m_interval_line_members(n: int, m: int) -> np.ndarray:
     these are the interval lines, with m = n every combinatorial line of the
     cube.  A row is the rank of the pinned letters (moving letter 1) plus v
     times the summed weight 3**(n-i) of the active coordinates i, v = 0, 1, 2.
-    Cached because the table is the hot input to violation counting, search
-    and encoding, and read-only because every caller shares it.
+    Cached because the table feeds encoding and local search, which one process
+    may run many times, and read-only because every caller shares it.
     """
     actives = m_interval_active_sets(n, m)
     steps = np.arange(3, dtype=np.int64)

@@ -13,10 +13,11 @@ shows some colour set is a singleton: that line is monochromatic.
 The construction is written down once, as each word's block letters and
 each line's member words: :func:`block_ranks` ranks the words by
 arithmetic for the routes, and :func:`gadget_words` and :func:`gadget_lines`
-unrank them into Word and Line objects.  The module also holds the case
-analysis (:func:`nsets`), the homogeneity test over one quadruple of cuts
-(:func:`homogeneous_colors`), the line finder (:func:`find_interval_line`)
-and the certificate format for verified monochromatic lines.  The paper
+unrank them into Word and Line objects.  The same arithmetic ranks each seed
+pattern's words in the homogeneity test over one quadruple of cuts
+(:func:`homogeneous_colors`).  The module also holds the case analysis
+(:func:`nsets`), the line finder (:func:`find_interval_line`) and the
+certificate format for verified monochromatic lines.  The paper
 reaches homogeneity by a Ramsey argument on a huge ground set; at desk
 scale the pipeline route only tests it over the cuts (1, 2, 3, 4).
 """
@@ -193,42 +194,23 @@ def case_lemma_check() -> list[tuple[ColorVector, int, int]]:
 # --- homogeneity machinery ---------------------------------------------------
 
 
-def induced_coloring(
-    coloring: Coloring, pattern_index: int, ground: Iterable[int]
-) -> dict[tuple[int, ...], int]:
-    """Colour each breakpoint choice for one seed pattern inside a ground set.
-
-    For seed pattern p of length t, every (t-1)-subset A of the ground
-    set realizes a unique word with contraction p and breakpoints A; its
-    colour is recorded under key A.  Ground elements must lie in 1..n-1.
-    """
-    if not 1 <= pattern_index <= 5:
-        raise ValueError(f"pattern index {pattern_index} outside 1..5")
-    pat = SEED_PATTERNS[pattern_index - 1]
-    ground = tuple(sorted(set(ground)))
-    if ground and not (1 <= ground[0] and ground[-1] <= coloring.n - 1):
-        raise ValueError(f"ground set {ground} outside 1..{coloring.n - 1}")
-    size = len(pat) - 1
-    if len(ground) < size:
-        raise ValueError(f"ground set of {len(ground)} cannot host {size}-subsets")
-    bits, n = coloring.bits, coloring.n
-    return {A: int(bits[block_ranks([pat.letters], A, n)[0]]) for A in itertools.combinations(ground, size)}
-
-
 def homogeneous_colors(coloring: Coloring, quad: Quadruple) -> ColorVector | None:
     """The colour of each seed pattern over the quadruple's cuts, if it has one.
 
-    Returns d when, for every seed pattern p, each word with contraction p
-    and breakpoints among quad.cuts has colour d[p]; None when some seed
-    pattern takes both colours there.  This is the homogeneity the case
-    analysis needs: with it, line first_singleton_index(d) of
-    gadget_lines(quad) is monochromatic.
+    The paper's induced colouring for seed pattern p of length t colours each
+    (t-1)-subset A of a ground set by the word with contraction p and breakpoints
+    A: p's letters on the blocks A cuts, read at its rank (:func:`block_ranks`).
+    Returns d when over quad.cuts each seed pattern's induced colouring is the
+    constant d[p], None when some seed pattern takes both colours there; with d,
+    line first_singleton_index(d) of gadget_lines(quad) is monochromatic.
     """
     if coloring.n != quad.n:
         raise ValueError(f"colouring of n={coloring.n} against cuts of n={quad.n}")
+    bits, n = coloring.bits, coloring.n
     d = []
-    for i in range(1, 6):
-        colours = set(induced_coloring(coloring, i, quad.cuts).values())
+    for p in SEED_PATTERNS:
+        subsets = itertools.combinations(quad.cuts, len(p) - 1)
+        colours = {int(bits[r]) for A in subsets for r in block_ranks([p.letters], A, n)}
         if len(colours) != 1:
             return None
         d.extend(colours)

@@ -122,6 +122,19 @@ def reference_gadget_lines(n, cuts):
     return out
 
 
+def reference_homogeneous_colors(coloring, cuts):
+    """The colour each seed pattern takes on every word realizing it with breakpoints
+    among the cuts, or None when some seed pattern takes both colours there."""
+    d = []
+    for p in SEED_PATTERNS:
+        words = (realize(p, A, coloring.n) for A in itertools.combinations(cuts, len(p) - 1))
+        colours = set(map(coloring.get, words))
+        if len(colours) != 1:
+            return None
+        d.extend(colours)
+    return tuple(d)
+
+
 def reference_find_line(coloring, method):
     """The certificate of the gadget or pipeline route, found with Word and Line objects.
 
@@ -133,10 +146,7 @@ def reference_find_line(coloring, method):
     n = coloring.n
     if method == "gadget":
         quads = itertools.combinations(range(1, n), 4)
-    elif n >= 5 and all(
-        len({coloring.get(realize(p, A, n)) for A in itertools.combinations((1, 2, 3, 4), len(p) - 1)}) == 1
-        for p in SEED_PATTERNS
-    ):
+    elif n >= 5 and reference_homogeneous_colors(coloring, (1, 2, 3, 4)) is not None:
         quads = [(1, 2, 3, 4)]
     else:
         return None

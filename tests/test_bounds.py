@@ -100,6 +100,11 @@ def test_cap_past_a_million_digits_is_refused():
         ramsey_upper(2, 4, 4, 10**6 + 1)
 
 
+def test_cap_below_one_digit_is_refused():
+    with pytest.raises(ValueError, match="cap must be at least one digit"):
+        ramsey_upper(2, 4, 4, cap_digits=0)
+
+
 def test_symbolic_render_forms():
     e = ramsey_upper(3, 20, 20, cap_digits=50)
     assert e.render() == "R3(20,20)"
@@ -119,6 +124,13 @@ def test_plus_one_on_exact():
     assert plus_one(BoundExpr.exact(4)).value == 5
     assert plus_one(BoundExpr.exact(998), 3).value == 999
     assert plus_one(BoundExpr.exact(999), 3).render() == "999+1"
+
+
+def test_expression_is_exact_or_symbolic():
+    with pytest.raises(ValueError, match="either exact or symbolic, not both"):
+        BoundExpr()
+    with pytest.raises(ValueError, match="either exact or symbolic, not both"):
+        BoundExpr(20, "R2(4,4)")
 
 
 def test_exact_constructor():

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import importlib.metadata
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hjinterval import cli, gadgets
-from hjinterval.cli import main
+from hjinterval.cli import build_parser, main
 from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
 from hjinterval.cube import Coloring, coloring_to_text, load_coloring
 from hjinterval.gadgets import find_interval_line, pattern_coloring, render_certificate
@@ -76,7 +78,7 @@ NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..n-1: four cuts need n >= 
         (("gen", "--n", "2", "--kind", "constant", "--d", "10"), "constant colour must be 0 or 1"),
         (("gen", "--n", "2", "--kind", "constant", "--d", "x"), "constant colour must be 0 or 1"),
         (("gen", "--n", "2", "--kind", "random", "--d", "01100"), "--kind random takes no --d"),
-        (("bound", "--cap", "0"), "cap must be at least one digit"),
+        (("gen", "--n", "5", "--kind", "pattern"), "--kind pattern needs --d with five bits"),
         (
             ("verify-gadgets", "--n", "5", "--quadruple", "1,2,3,x"),
             "need four comma-separated cuts, got '1,2,3,x'",
@@ -87,7 +89,6 @@ NO_CUTS_AT_4 = "n=4 has no quadruple of cuts inside 1..n-1: four cuts need n >= 
             ("encode", "--n", "2", "--max-intervals", str(10**20)),
             f"m={10**20} is outside 1..10**18-1, the m a hjinterval header holds",
         ),
-        (("bound", "--cap", "1000001"), "cap must be at most 1000000 digits, not 1000001"),
     ],
 )
 def test_bad_values_are_refused_before_any_output(tmp_path, capsys, monkeypatch, argv, message):
@@ -316,13 +317,6 @@ def test_search_exhaustive_decides_past_n3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "avoider-n5.hjc").exists()
 
 
-def test_search_no_symmetry_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(capsys, "search", "--n", "3", "--no-symmetry")
-    assert code == 0
-    assert f"coloring={exhaustive_search(3, use_symmetry=True).coloring.bitstring}\n" in out
-
-
 def test_error_without_text_prints_its_type(capsys, monkeypatch):
     def out_of_memory(args):
         raise MemoryError()
@@ -439,8 +433,56 @@ def test_solve_without_family_header_prints_raw_model(tmp_path, capsys):
     cnf_path.write_text("\n".join(r for r in rows if not r.startswith("c hjinterval")) + "\n")
     code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
     assert code == 0
-    assert "model=" in out
-    assert "coloring=" not in out and "verified=" not in out
+    assert "model=" in out and "verified=yes\n" in out
+    assert "coloring=" not in out and "verified=no" not in out
+
+
+PLAIN_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
+
+
+@pytest.mark.parametrize(
+    "model, reason",
+    [
+        ("1 -2", "clause 2 (-1 0) has no true literal"),
+        ("1", "clause 2 (-1 0) has no true literal"),
+        ("-1 1 2", "model assigns variable 1 both ways"),
+        ("-1 3", "model literal 3 outside +-1..2"),
+    ],
+)
+def test_solve_checks_a_plain_model_against_every_clause(
+    tmp_path, capsys, solver_factory, model, reason
+):
+    cnf_path = tmp_path / "plain.cnf"
+    cnf_path.write_text(PLAIN_CNF)
+    liar = solver_factory(f'print("s SATISFIABLE")\nprint("v {model} 0")\n')
+    code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", liar)
+    assert (code, err) == (1, "")
+    assert "status=sat\nverified=no\n" in out and "model=" not in out
+    assert f"diagnostics=the external solver's model is wrong: {reason}\n" in out
+
+
+def test_solve_prints_a_plain_model_that_checks(tmp_path, capsys, solver_factory):
+    cnf_path = tmp_path / "plain.cnf"
+    cnf_path.write_text(PLAIN_CNF)
+    solver = solver_factory('print("s SATISFIABLE")\nprint("v -1 2 0")\n')
+    code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", solver)
+    assert (code, err) == (0, "")
+    assert out.endswith("status=sat\nmodel=-1 2\nverified=yes\n")
+
+
+def test_solve_checks_a_family_model_against_the_symmetry_break_unit(tmp_path, capsys, solver_factory):
+    # The colour swap of the least avoider avoids every line but colours rank 0 with 1.
+    bits = exhaustive_search(2).coloring.bits
+    swapped = " ".join(str(-i if bit else i) for i, bit in enumerate(bits, 1))
+    liar = solver_factory(f'print("s SATISFIABLE")\nprint("v {swapped} 0")\n')
+    instance = encode(2, sym_break=True)
+    cnf_path = tmp_path / "n2s.cnf"
+    write_dimacs_file(instance, str(cnf_path))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", liar)
+    assert code == 1
+    assert "verified=no" in out and "coloring=" not in out
+    unit = f"clause {len(instance.clauses)} (-1 0) has no true literal"
+    assert f"diagnostics=the external solver's model is wrong: {unit}\n" in out
 
 
 def test_solve_external_solver_flag(tmp_path, capsys, toy_solver):
@@ -578,14 +620,6 @@ def test_bound_default(capsys):
     assert "n2=R3(20,20)" in out
     assert out.rstrip().splitlines()[-1].endswith("+1")
     assert out == _tower_text(10000, "20")
-    assert run_cli(capsys, "bound", "--cap", "10") == (0, _tower_text(10, "20"), "")
-
-
-def test_bound_small_cap(capsys):
-    code, out, _ = run_cli(capsys, "bound", "--cap", "1")
-    assert code == 0
-    assert "n1=R2(4,4)" in out
-    assert out == _tower_text(1, "R2(4,4)")
 
 
 def _tower_text(cap, n1):
@@ -720,6 +754,23 @@ def test_dimension_numpy_cannot_index_is_refused_naming_n(capsys, verb):
     assert "argument --n: n=40" in err and "3**n" in err
 
 
+def _readme_synopsis():
+    """The README's command synopsis, one verb a line, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(hjinterval verify-gadgets.*?)```", readme, re.S).group(1)
+    return re.sub(r"\n\s+", " ", block).splitlines()
+
+
+def test_readme_synopsis_names_every_declared_option():
+    (verbs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        verb: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for verb, sub in verbs.choices.items()
+    }
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in _readme_synopsis()}
+    assert documented == declared
+
+
 def test_console_script_declared(tmp_path, child_env):
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
@@ -729,7 +780,7 @@ def test_console_script_declared(tmp_path, child_env):
     wrapper = (
         "import sys\n"
         "from hjinterval.cli import main\n"
-        "sys.argv = ['hjinterval', 'bound', '--cap', '10']\n"
+        "sys.argv = ['hjinterval', 'bound']\n"
         "sys.exit(main())\n"
     )
     proc = subprocess.run(
@@ -740,7 +791,7 @@ def test_console_script_declared(tmp_path, child_env):
         env=child_env,
     )
     assert proc.returncode == 0
-    assert "cap-digits=10\n" in proc.stdout
+    assert "cap-digits=10000\n" in proc.stdout
     assert "n0=4" in proc.stdout
 
 
@@ -764,7 +815,7 @@ def test_console_script_installed():
     assert scripts.get("hjinterval") == "hjinterval.cli:main"
     executable = shutil.which("hjinterval")
     assert executable is not None, "hjinterval is installed but its console script is not on PATH"
-    proc = subprocess.run([executable, "bound", "--cap", "10"], capture_output=True, text=True)
+    proc = subprocess.run([executable, "bound"], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "cap-digits=10\n" in proc.stdout
+    assert "cap-digits=10000\n" in proc.stdout
     assert "n0=4" in proc.stdout

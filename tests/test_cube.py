@@ -264,6 +264,34 @@ def test_coloring_random_chunks_join_into_one_draw():
     assert np.packbits(bits, bitorder="little").tobytes() == word.to_bytes(-(-3**16 // 8), "little")
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Word((1, 2))[0], IndexError, "coordinate 0 outside 1..2"),
+        (lambda: unrank(9, 2), ValueError, "rank 9 outside 0..8 for n=2"),
+        (lambda: m_interval_active_sets(2, 0), ValueError, "m must be >= 1"),
+        (lambda: Coloring(0, np.zeros(1, dtype=np.uint8)), ValueError, "n must be >= 1"),
+        (lambda: Coloring.constant(2, 2), ValueError, "colour must be 0 or 1"),
+        (
+            lambda: Coloring.constant(2, 0).get(Word((1, 2, 3))),
+            ValueError,
+            "word length 3 does not match colouring n=2",
+        ),
+        (
+            lambda: is_monochromatic(Coloring.constant(2, 0), interval_line(3, 1, 3)),
+            ValueError,
+            "line n=3 does not match colouring n=2",
+        ),
+        (lambda: Symmetry((1, 1, 2)), ValueError, r"\(1, 1, 2\) is not a permutation of \(1,2,3\)"),
+    ],
+    ids=["word-coordinate", "unrank", "active-sets-m", "coloring-n", "constant-colour", "get-length",
+         "mono-line-n", "letter-perm"],
+)
+def test_bad_arguments_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_coloring_rejects_bad_bits():
     with pytest.raises(ValueError):
         coloring_from_bits(2, [0] * 8)

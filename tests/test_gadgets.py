@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hjinterval.cube import Coloring, Line, Word, is_monochromatic, rank, unrank
+from hjinterval import gadgets
+from hjinterval.cube import Coloring, Line, Word, interval_line, is_monochromatic, rank, unrank
 from hjinterval.gadgets import (
     MIN_GROUND_SIZE,
     SEED_LENGTHS,
@@ -18,7 +19,6 @@ from hjinterval.gadgets import (
     gadget_rank_triples,
     gadget_words,
     homogeneous_colors,
-    induced_coloring,
     nsets,
     pattern_coloring,
     render_certificate,
@@ -30,6 +30,7 @@ from oracles import (
     enumerate_m_interval_lines,
     reference_find_line,
     reference_gadget_lines,
+    reference_homogeneous_colors,
 )
 
 UNIT_QUAD = Quadruple(5, (1, 2, 3, 4))
@@ -263,29 +264,23 @@ def test_pattern_coloring_is_contraction_invariant():
         assert seen[key] == c.get(w)
 
 
-def test_induced_coloring_constant_for_pattern_colorings():
-    for d in ((0, 1, 1, 0, 0), (1, 0, 1, 0, 1)):
-        c = pattern_coloring(5, d)
-        for i in range(1, 6):
-            values = set(induced_coloring(c, i, (1, 2, 3, 4)).values())
-            assert values == {d[i - 1]}, (d, i)
+def test_block_ranks_of_a_seed_pattern_rank_its_realized_word():
+    for n in (5, 7, 9, 12):
+        for p in SEED_PATTERNS:
+            for A in itertools.combinations(range(1, n), len(p) - 1):
+                assert block_ranks([p.letters], A, n) == [rank(realize(p, A, n))], (n, p, A)
 
 
-def test_induced_coloring_matches_realized_words():
-    for n, seed in ((5, 0), (7, 1), (9, 2), (12, 3)):
-        c = Coloring.random(n, seed)
-        for ground in ((1, 2, 3, 4), (n - 1, 1, 3, n - 2, 3, 2), tuple(range(1, n))):
-            ground_set = sorted(set(ground))
-            for i, p in enumerate(SEED_PATTERNS, start=1):
-                subsets = itertools.combinations(ground_set, len(p) - 1)
-                want = {A: c.get(realize(p, A, n)) for A in subsets}
-                assert induced_coloring(c, i, ground) == want, (n, ground, i)
-
-
-def test_induced_coloring_keys_are_t_subsets():
-    c = pattern_coloring(5, (0, 0, 0, 0, 0))
-    mapping = induced_coloring(c, 2, (1, 2, 3, 4))
-    assert set(mapping) == set(itertools.combinations((1, 2, 3, 4), 3))
+def test_homogeneous_colors_matches_realized_words():
+    cases = [*_pipeline_cases(7), *(Coloring.random(7, seed) for seed in range(4, 8))]
+    seen = set()
+    for c in cases:
+        for cuts in itertools.combinations(range(1, 7), 4):
+            quad = Quadruple(7, cuts)
+            want = reference_homogeneous_colors(c, cuts)
+            assert homogeneous_colors(c, quad) == want, (c, cuts)
+            seen.add(want is None)
+    assert seen == {False, True}
 
 
 def test_extract_line_certifies_singleton_level():
@@ -442,3 +437,31 @@ def test_gadget_route_matches_case_lemma_prediction():
         assert cert.color == color
         predicted = glines[idx - 1]
         assert cert.line == predicted
+
+
+def test_quadruple_needs_four_cuts():
+    with pytest.raises(ValueError, match="need exactly four cut positions"):
+        Quadruple(6, (1, 2, 3))
+
+
+def test_certificate_checks_its_colour_and_its_cube():
+    line = gadget_lines(UNIT_QUAD)[0]
+    with pytest.raises(ValueError, match="certificate colour must be 0 or 1"):
+        LineCertificate(line, 2)
+    cert = LineCertificate(line, 0)
+    assert cert.verify(Coloring.constant(5, 0))
+    assert not cert.verify(Coloring.constant(6, 0))
+
+
+def test_case_analysis_without_a_singleton_is_a_broken_construction(monkeypatch):
+    monkeypatch.setattr(gadgets, "nsets", lambda d: (frozenset((0, 1)),) * 5)
+    broken = r"construction broken: no singleton colour set for d=\(0, 1, 1, 0, 0\)"
+    with pytest.raises(RuntimeError, match=broken):
+        first_singleton_index((0, 1, 1, 0, 0))
+
+
+def test_a_reported_line_is_rechecked_before_it_is_certified(monkeypatch):
+    avoider = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    monkeypatch.setattr(gadgets, "first_mono_line", lambda bits, n: interval_line(2, 1, 1, {2: 1}))
+    with pytest.raises(RuntimeError, match="internal error: line .* reported monochromatic but is not"):
+        find_interval_line(avoider)

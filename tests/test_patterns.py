@@ -109,3 +109,8 @@ def test_realize_then_contract_recovers_inputs():
     assert str(w) == "113332"
     assert contract(w) == p
     assert breakpoints(w) == pts
+
+
+def test_realize_refuses_repeated_breakpoints():
+    with pytest.raises(ValueError, match="breakpoints must be distinct"):
+        realize(Pattern.from_text("132"), (2, 2), 5)

@@ -397,3 +397,12 @@ def test_search_report_is_plain_data():
     text = render_search_report(report)
     assert "violations=3" in text
     assert "coloring=-" in text
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [((0, 0, 100), {}, "n must be >= 1"), ((2, 0, 100), {"jobs": 0}, "jobs must be >= 1")],
+)
+def test_local_search_refuses_bad_arguments(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        local_search(*args, **kwargs)
