@@ -166,7 +166,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         outcome = solve_builtin(instance, timeout=args.timeout)
         print("solver=builtin-cdcl")
-        culprit = "the encoder or the built-in solver is at fault"
+        # Only a family file was made by the encoder.
+        culprit = "the built-in solver is at fault"
+        if instance.family is not None:
+            culprit = "the encoder or the built-in solver is at fault"
     if outcome.status == "unsat" and command:
         # An external solver's refutation comes without a proof to check.
         print("status=unsat-unverified")

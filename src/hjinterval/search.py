@@ -6,15 +6,16 @@ encoding, then one more for each cell that a model colours 1, asking
 whether it can be 0; each UNSAT answer counts only once its DRUP proof
 has been checked.  The local one is steepest descent on the violation
 count with sideways moves and restarts seeded into ``random.Random``; it
-keeps each line's count of ones and each cell's flip score in Python
-lists, so a flip touches only the lines through its cell.  Only the cells
-whose flip adds no violation are filed, in one ascending list per score,
-so the best flip needs no scan and a sideways pick needs no sort.  The
-encoding and the descent read the member table; a reported colouring is
-checked by the cube scan of :func:`~hjinterval.cube.mono_masks`, which does
-not: each SAT model is decoded and scanned by
-:func:`~hjinterval.cnf.decode_model`, and a local search's count comes
-from the scan.
+keeps each cell's flip score in a Python list, and a flip moves only the
+scores of its cell's neighbours (the other members of the lines through
+it), each by +1 or -1 as that neighbour does or does not share the
+flipped cell's old colour.  Only the cells whose flip adds no violation
+are filed, in one ascending list per score, so the best flip needs no
+scan and a sideways pick needs no sort.  The encoding and the descent read
+the member table; a reported colouring is checked by the cube scan of
+:func:`~hjinterval.cube.mono_masks`, which does not: each SAT model is
+decoded and scanned by :func:`~hjinterval.cnf.decode_model`, and a local
+search's count comes from the scan.
 """
 
 from __future__ import annotations
@@ -126,26 +127,19 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
 # --- local search ------------------------------------------------------------
 
 
-#: _GAIN[2*o + b]: change in a line's violation when a colour-b member flips, o its ones.
-_GAIN = np.array([-1, 0, 0, 1, 1, 0, 0, -1], dtype=np.int8)
-#: _RESCORE[b][2*o + u]: change in a colour-u member's gain when a colour-b member of its
-#: line flips (o ones before); the wrapped entries belong to (o, b) pairs that cannot occur.
-_RESCORE = [(np.roll(_GAIN, shift) - _GAIN).tolist() for shift in (-2, 2)]
-
-
 @lru_cache(maxsize=8)
-def _cell_lines(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per cell, one (line, other, other) triple for each row of
-    :func:`interval_line_members` through it, rows ascending.  The cell ids
-    come from one list, so the triples share their int objects."""
-    ids = list(range(3**n))
-    through: list[list[tuple[int, int, int]]] = [[] for _ in ids]
-    for line, (a, b, c) in enumerate(interval_line_members(n).tolist()):
-        a, b, c = ids[a], ids[b], ids[c]
-        through[a].append((line, b, c))
-        through[b].append((line, a, c))
-        through[c].append((line, a, b))
-    return tuple(map(tuple, through))
+def _neighbours(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per cell, the other two members of each row of :func:`interval_line_members`
+    through it, rows ascending.  Two cells share at most one line (they differ
+    exactly on its active set and agree on its pinned letters), so no cell is
+    listed twice."""
+    members = interval_line_members(n)
+    flat = members.ravel()
+    # Member j of row r sits at 3r + j of flat, and its other two at 3r + j of others.
+    others = members[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
+    pairs = others[np.argsort(flat, kind="stable")].ravel().tolist()
+    ends = (2 * np.cumsum(np.bincount(flat, minlength=3**n))).tolist()
+    return tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
@@ -154,31 +148,36 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     Returns (best violation count, best bits, flips used).  Sideways moves
     are taken when no flip improves; a long sideways drift or a strict local
     minimum ends the restart early.  ``random.Random(restart_seed)`` draws one
-    start bit per cell in rank order, then each sideways pick.  Line counts
-    and flip scores are counted once with numpy, then kept in Python lists:
-    a flip moves the counts of the lines through its cell and rescores only
-    their other members.  Only a cell whose flip adds no violation is filed,
-    a score s <= 0 in ``buckets[-s]``, a list kept ascending; so a rescore
-    touches a bucket only when its old or new score is <= 0.  ``top`` is at
-    or above the highest non-empty bucket: a rescore above it raises it, and
-    the next choice lowers it past empty buckets.  An improving flip takes
-    the least cell of the top bucket, a sideways one the cell at a random
-    index of bucket 0; with no bucket left, the restart is at a strict
-    local minimum.
+    start bit per cell in rank order, then each sideways pick by the rule of
+    ``random.choice``.  A cell's flip score, the change in violations if it
+    flips, is the number of lines through it minus the number of its
+    neighbours (the other members of those lines) that share its colour.  It
+    is counted once with numpy, then kept in a Python list: when a cell of
+    colour b flips, its score is negated, and each neighbour's moves by +1 if
+    that neighbour has colour b and by -1 otherwise.  Only a cell whose flip
+    adds no violation is filed, a score s <= 0 in ``buckets[-s]``, a list kept
+    ascending; so a rescore touches a bucket only when its old or new score is
+    <= 0.  ``top`` is at or above the highest non-empty bucket: a rescore above
+    it raises it, and the next choice lowers it past empty buckets.  An
+    improving flip takes the least cell of the top bucket, a sideways one the
+    cell at a random index of bucket 0, which keeps its score 0 and so stays
+    filed; with no bucket left, the restart is at a strict local minimum.
     """
     size = 3**n
     members = interval_line_members(n)
-    through = _cell_lines(n)
+    neighbours = _neighbours(n)
     rng = random.Random(restart_seed)
-    bits = [rng.getrandbits(1) for _ in range(size)]
+    getrandbits = rng.getrandbits
+    bits = [getrandbits(1) for _ in range(size)]
     cols = np.array(bits, dtype=np.uint8)[members]
-    twice = 2 * cols.sum(1, dtype=np.int8)  # twice each line's count of ones
-    violations = int(np.count_nonzero((twice == 0) | (twice == 6)))
-    delta = np.bincount(members.ravel(), _GAIN[twice[:, None] + cols].ravel(), size)
-    # score[c]: the change in violations if cell c flips, at most the most lines through
-    # a cell either way, so top starts there.
-    twice, score = twice.tolist(), delta.astype(int).tolist()
-    top = max(map(len, through))
+    ones = cols.sum(1, dtype=np.int8)[:, None]
+    violations = int(np.count_nonzero((ones == 0) | (ones == 3)))
+    # A member's flip adds its line when the other two share the other colour and
+    # removes it when all three agree: 2 - ones for a one, ones - 1 for a zero.
+    gains = np.where(cols, 2 - ones, ones - 1).ravel()
+    score = np.bincount(members.ravel(), gains, size).astype(int).tolist()
+    # A score is at most the most lines through a cell either way, so top starts there.
+    top = max(map(len, neighbours)) // 2
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for cell, s in enumerate(score):
         if s <= 0:
@@ -199,20 +198,22 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
             sideways += 1
             if sideways > 2 * size:
                 break
-            cell = rng.choice(bucket)
-            del bucket[bisect_left(bucket, cell)]
+            # rng.choice(bucket)'s draw; the cell keeps its score 0, so it stays filed.
+            k = len(bucket)
+            width = k.bit_length()
+            i = getrandbits(width)
+            while i >= k:
+                i = getrandbits(width)
+            cell = bucket[i]
         else:
             sideways = 0
             cell = bucket.pop(0)
+            score[cell] = gain
         b = bits[cell]
         bits[cell] = 1 - b
-        step = 2 - 4 * b
-        rescore = _RESCORE[b]
-        for line, u, v in through[cell]:
-            old = twice[line]
-            twice[line] = old + step
+        for u in neighbours[cell]:
             s = score[u]
-            score[u] = su = s + rescore[old + bits[u]]
+            score[u] = su = s + 1 if bits[u] == b else s - 1
             if s <= 0:
                 lst = buckets[-s]
                 del lst[bisect_left(lst, u)]
@@ -220,18 +221,6 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
                 insort(buckets[-su], u)
                 if -su > top:
                     top = -su
-            s = score[v]
-            score[v] = sv = s + rescore[old + bits[v]]
-            if s <= 0:
-                lst = buckets[-s]
-                del lst[bisect_left(lst, v)]
-            if sv <= 0:
-                insort(buckets[-sv], v)
-                if -sv > top:
-                    top = -sv
-        score[cell] = gain  # flipping it back would undo the move
-        if gain == 0:
-            insort(bucket, cell)
         violations -= gain
         flips += 1
     return best, np.array(best_bits, dtype=np.uint8), flips

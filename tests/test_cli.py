@@ -461,6 +461,24 @@ def test_solve_checks_a_plain_model_against_every_clause(
     assert f"diagnostics=the external solver's model is wrong: {reason}\n" in out
 
 
+@pytest.mark.parametrize("family", [False, True])
+def test_solve_blames_the_encoder_only_for_a_family_file(tmp_path, capsys, monkeypatch, family):
+    # The built-in solver "finds" the all-true model, which breaks a clause of either file.
+    cnf_path = tmp_path / "wrong.cnf"
+    if family:
+        write_dimacs_file(encode(2), cnf_path)
+    else:
+        cnf_path.write_text(PLAIN_CNF)
+    monkeypatch.setattr(
+        cli, "solve_builtin", lambda instance, timeout=None: SolveOutcome("sat", model=(1,) * instance.n_vars)
+    )
+    code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert (code, err) == (1, "")
+    assert "solver=builtin-cdcl\nstatus=sat\nverified=no\n" in out
+    culprit = "the encoder or the built-in solver" if family else "the built-in solver"
+    assert f"diagnostics={culprit} is at fault: " in out
+
+
 def test_solve_prints_a_plain_model_that_checks(tmp_path, capsys, solver_factory):
     cnf_path = tmp_path / "plain.cnf"
     cnf_path.write_text(PLAIN_CNF)

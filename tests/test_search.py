@@ -17,7 +17,7 @@ from hjinterval.search import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_REFUTED,
     SearchReport,
-    _cell_lines,
+    _neighbours,
     _one_restart,
     exhaustive_search,
     local_search,
@@ -152,9 +152,9 @@ def table_without_last_row(monkeypatch):
     full = cube.m_interval_line_members
     for module in (cube, cnf):
         monkeypatch.setattr(module, "m_interval_line_members", lambda n, m: full(n, m)[:-1])
-    search._cell_lines.cache_clear()
+    search._neighbours.cache_clear()
     yield
-    search._cell_lines.cache_clear()
+    search._neighbours.cache_clear()
 
 
 def test_reported_colourings_are_scanned_past_the_table(table_without_last_row):
@@ -351,19 +351,44 @@ def test_bucketed_restart_matches_full_recount(data):
     assert np.array_equal(bits, ref_bits)
 
 
-def test_incidence_lists_each_cells_lines_and_their_other_members():
-    for n in range(1, 6):
+def test_neighbours_list_the_other_members_of_each_row_through_a_cell():
+    for n in range(1, 7):
         members = interval_line_members(n).tolist()
-        through = _cell_lines(n)
-        assert len(through) == 3**n
-        seen = [[] for _ in members]
-        for cell, triples in enumerate(through):
-            assert [line for line, _, _ in triples] == sorted({line for line, _, _ in triples})
-            for line, u, v in triples:
-                assert sorted((cell, u, v)) == sorted(members[line])
-                seen[line].append(cell)
-        # each row appears once at each of its three members
-        assert [sorted(cells) for cells in seen] == [sorted(row) for row in members]
+        others = [[] for _ in range(3**n)]
+        for row in members:
+            for j, cell in enumerate(row):
+                others[cell] += row[:j] + row[j + 1:]
+        neighbours = _neighbours(n)
+        assert [list(cells) for cells in neighbours] == others
+        assert all(sorted(cells) == sorted(set(cells)) for cells in neighbours)
+
+
+def recounted_flip_scores(bits, members):
+    """Each cell's flip score counted from scratch: the violations with that one
+    cell flipped, minus the violations now."""
+    size = len(bits)
+    flipped = np.tile(bits, (size + 1, 1))
+    flipped[np.arange(size), np.arange(size)] ^= 1  # row c flips cell c; the last row none
+    ones = flipped[:, members].sum(2)
+    violations = ((ones == 0) | (ones == 3)).sum(1)
+    return violations[:-1] - violations[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_flip_moves_each_neighbours_score_by_colour_agreement(data):
+    n = data.draw(st.integers(1, 4))
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=3**n, max_size=3**n)), dtype=np.uint8)
+    members = interval_line_members(n)
+    before = recounted_flip_scores(bits, members)
+    for cell, neighbours in enumerate(_neighbours(n)):
+        after_bits = bits.copy()
+        after_bits[cell] ^= 1
+        expected = before.copy()
+        expected[cell] = -before[cell]
+        for u in neighbours:
+            expected[u] += 1 if bits[u] == bits[cell] else -1
+        assert np.array_equal(recounted_flip_scores(after_bits, members), expected)
 
 
 def test_local_search_gives_up_honestly():
