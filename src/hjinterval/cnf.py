@@ -22,6 +22,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from numbers import Real
 from typing import Iterable, Iterator
 
@@ -119,21 +120,25 @@ def write_dimacs(instance: CnfInstance) -> str:
 def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
     rows = instance.clauses
     yield f"p cnf {instance.n_vars} {len(rows)}\n"
-    names: list[str] = []  # the comment line above each even row, from the family
+    names: Iterator[str] = iter(())  # the comment line above each even row, from the family
     if instance.family is not None:
         n, m, sym_break = instance.family
         yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
         if len(rows) == 2 * len(m_interval_line_members(n, m)) + sym_break:
-            for active in m_interval_active_sets(n, m):
-                pins = [(p, ALPHABET) for p in range(1, n + 1) if p not in active]
-                names += line_names(active, pins, ("c ", "\n"))
-            names += ["c symmetry-break rank0=0\n"] * sym_break
+            # One active set's names at a time, taken as the slices below need them.
+            names = chain(
+                chain.from_iterable(
+                    line_names(a, [(p, ALPHABET) for p in range(1, n + 1) if p not in a], ("c ", "\n"))
+                    for a in m_interval_active_sets(n, m)
+                ),
+                ["c symmetry-break rank0=0\n"] * sym_break,
+            )
     # words[top + v] is literal v's text ("" for the padding 0): like the solver's
     # per-variable lists, it takes memory in proportion to the largest variable.
     top = int(np.abs(rows).max(initial=0))
     words = np.array([f"{v} " if v else "" for v in range(-top, top + 1)], dtype=object)
     for start in range(0, len(rows), 4096):  # a slice at a time, so no text is ever whole
-        block, above = rows[start : start + 4096], names[start // 2 : start // 2 + 2048]
+        block, above = rows[start : start + 4096], list(islice(names, 2048))
         cells = np.empty((len(block), block.shape[1] + 2), dtype=object)  # row k: clause k
         cells[:, 0], cells[:, 1:-1], cells[:, -1] = "", words[top + block], "0\n"
         cells[: 2 * len(above) : 2, 0] = above

@@ -11,8 +11,10 @@ scores of its cell's neighbours (the other members of the lines through
 it), each by +1 or -1 as that neighbour does or does not share the
 flipped cell's old colour.  Only the cells whose flip adds no violation
 are filed, in one ascending list per score, so the best flip needs no
-scan and a sideways pick needs no sort.  The encoding and the descent read
-the member table; a reported colouring is checked by the cube scan of
+scan and a sideways pick needs no sort.  Restarts may run in forked
+workers, read in seed order, so the report does not depend on the worker
+count.  The encoding and the descent read the member table; a reported
+colouring is checked by the cube scan of
 :func:`~hjinterval.cube.mono_masks`, which does not: each SAT model is
 decoded and scanned by :func:`~hjinterval.cnf.decode_model`, and a local
 search's count comes from the scan.
@@ -21,8 +23,11 @@ search's count comes from the scan.
 from __future__ import annotations
 
 import os
+import pickle
 import random
+import signal
 import time
+import warnings
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -182,11 +187,11 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     for cell, s in enumerate(score):
         if s <= 0:
             buckets[-s].append(cell)
-    best = members.shape[0] + 1
+    # Violations never rise, so the best colouring is the one at the last improving
+    # flip: bits itself until a sideways flip, which first takes its copy.
+    best_bits = None
     flips = sideways = 0
     while True:
-        if violations < best:
-            best, best_bits = violations, bits[:]
         if violations == 0 or flips == max_flips:
             break
         while top >= 0 and not buckets[top]:
@@ -198,6 +203,8 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
             sideways += 1
             if sideways > 2 * size:
                 break
+            if best_bits is None:
+                best_bits = bits[:]
             # rng.choice(bucket)'s draw; the cell keeps its score 0, so it stays filed.
             k = len(bucket)
             width = k.bit_length()
@@ -207,6 +214,7 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
             cell = bucket[i]
         else:
             sideways = 0
+            best_bits = None
             cell = bucket.pop(0)
             score[cell] = gain
         b = bits[cell]
@@ -214,6 +222,8 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
         for u in neighbours[cell]:
             s = score[u]
             score[u] = su = s + 1 if bits[u] == b else s - 1
+            if s > 1:  # then su >= 1: filed in no bucket before or after
+                continue
             if s <= 0:
                 lst = buckets[-s]
                 del lst[bisect_left(lst, u)]
@@ -223,21 +233,58 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
                     top = -su
         violations -= gain
         flips += 1
-    return best, np.array(best_bits, dtype=np.uint8), flips
+    return violations, np.array(bits if best_bits is None else best_bits, dtype=np.uint8), flips
 
 
 def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: int) -> Iterator:
-    """Each restart's result, in seed order.  With workers > 1 the restarts run in a
-    process pool, handed that many at a time; closing the generator ends the pool."""
-    if workers == 1:
+    """Each restart's result, in seed order.  With workers > 1 and ``os.fork``, workers - 1
+    children forked after the line tables are built inherit them; worker w (0 is this
+    process) runs restarts k = w mod workers from its own copy of the seeds, and a child
+    pickles each result down its pipe or exits 1.  Closing kills and reaps the children."""
+    if workers == 1 or not hasattr(os, "fork"):
         yield from (_one_restart(n, s, per_restart) for s in seeds)
         return
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        while batch := list(islice(seeds, workers)):
-            futures = [pool.submit(_one_restart, n, s, per_restart) for s in batch]
-            yield from (future.result() for future in futures)
+    _neighbours(n)
+    children = []  # (pid, read end) of workers 1..workers-1
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on forking a multi-threaded process (numpy's BLAS
+                # starts a thread); a child runs only _one_restart and pickle, never BLAS.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as out:
+                        for s in islice(seeds, w, None, workers):
+                            pickle.dump(_one_restart(n, s, per_restart), out)
+                            out.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+            os.close(write_fd)
+        for s in islice(seeds, 0, None, workers):
+            yield _one_restart(n, s, per_restart)
+            for w, (pid, pipe) in enumerate(children, 1):
+                try:
+                    result = pickle.load(pipe)
+                except EOFError:  # the child ran out of seeds (exit 0) or failed
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    children.remove((pid, pipe))  # reaped: not to be killed below
+                    pipe.close()
+                    if code:
+                        raise RuntimeError(f"local search worker {w} ended with exit status {code}")
+                    return
+                yield result
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
@@ -266,11 +313,13 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     )
     results = _restart_results(n, per_restart, seeds, min(jobs, restarts, os.cpu_count() or 1))
     used = []
-    for result in results:
-        used.append(result)
-        if result[0] == 0:
-            break
-    results.close()
+    try:
+        for result in results:
+            used.append(result)
+            if result[0] == 0:
+                break
+    finally:
+        results.close()
     best, best_bits, _ = min(used, key=lambda r: r[0])
     flips = sum(r[2] for r in used)
     stats = {"restarts": len(used), "flips": flips, "wall_time_s": time.perf_counter() - t0}

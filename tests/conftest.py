@@ -29,6 +29,21 @@ else:
 """
 
 
+@pytest.fixture(autouse=True)
+def leaves_no_child_process():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+
+    yield
+    reaped = []  # reaped here, so that the next test starts with none
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            reaped.append(pid)
+    except ChildProcessError:
+        if not reaped:
+            return
+    pytest.fail(f"the test left child processes behind: {reaped or 'one still running'}")
+
+
 @pytest.fixture
 def child_env():
     """Environment for a child python that must import the hjinterval under test."""

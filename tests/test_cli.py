@@ -671,37 +671,28 @@ def test_module_entry_point(tmp_path, child_env):
     assert "coloring=001" in proc.stdout
 
 
-# Each worker wraps the restart function it is sent, so a worker that has imported
+# Every process runs a wrapped restart function, so a worker that has imported
 # numpy.random by the end of a restart fails it.  Two CPUs are reported, so --jobs 2
-# makes a pool on any host, and the pool count shows that workers were used.
+# forks a worker on any host, and the fork count shows that one was used.
 NO_NUMPY_RANDOM = '''\
 import os, sys
-from concurrent import futures
+from hjinterval import search
 from hjinterval.cli import main
 
-PROBE = """
-import sys
-from hjinterval import search
 restart = search._one_restart
+
 def probed(*args):
     result = restart(*args)
     assert "numpy.random" not in sys.modules, "a worker imported numpy.random"
     return result
+
+forks, fork = [], os.fork
 search._one_restart = probed
-"""
-
-class ProbedPool(futures.ProcessPoolExecutor):
-    made = 0
-
-    def __init__(self, max_workers):
-        ProbedPool.made += 1
-        super().__init__(max_workers, initializer=exec, initargs=(PROBE, {}))
-
-futures.ProcessPoolExecutor = ProbedPool
+os.fork = lambda: forks.append(1) or fork()
 os.cpu_count = lambda: 2
 code = main(sys.argv[1:])
 assert "numpy.random" not in sys.modules, "the CLI process imported numpy.random"
-print(f"pools={ProbedPool.made}")
+print(f"forks={len(forks)}")
 sys.exit(code)
 '''
 
@@ -712,10 +703,10 @@ LOCAL = ["search", "--mode", "local", "--n", "4"]
 @pytest.mark.parametrize(
     "argv, shows",
     [
-        pytest.param([*LOCAL, "--jobs", "1"], ["outcome=avoider-found", "pools=0"], id="1"),
-        pytest.param([*LOCAL, "--jobs", "2"], ["outcome=avoider-found", "pools=1"], id="2"),
+        pytest.param([*LOCAL, "--jobs", "1"], ["outcome=avoider-found", "forks=0"], id="1"),
+        pytest.param([*LOCAL, "--jobs", "2"], ["outcome=avoider-found", "forks=1"], id="2"),
         pytest.param(
-            ["gen", "--kind", "random", "--n", "5", "--out", "r.hjc"], ["kind=random", "pools=0"], id="gen"
+            ["gen", "--kind", "random", "--n", "5", "--out", "r.hjc"], ["kind=random", "forks=0"], id="gen"
         ),
     ],
 )

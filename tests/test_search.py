@@ -1,8 +1,8 @@
-import concurrent.futures
 import hashlib
 import itertools
 import os
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -232,12 +232,17 @@ def test_local_search_reports_are_pinned(n, seed, budget, outcome, violations, f
     assert hashlib.sha256(report.coloring.bitstring.encode()).hexdigest()[:16] == digest
 
 
-def test_local_search_jobs_invariant():
-    # (5, 4, 21870) runs three restarts and finds no avoider, so the best of them is chosen
-    for n, seed, budget in ((3, 9, 8000), (5, 4, 21870)):
+def test_local_search_jobs_invariant(monkeypatch):
+    # Two CPUs are reported, so jobs=2 forks a worker on any host.  (6, 3, 87480) runs
+    # four restarts, two in each worker; (5, 4, 21870) runs three and finds no avoider,
+    # so the best of them is chosen.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for n, seed, budget in ((3, 9, 8000), (6, 3, 87480), (5, 4, 21870)):
         a = local_search(n, seed=seed, budget=budget, jobs=1)
         b = local_search(n, seed=seed, budget=budget, jobs=2)
         assert semantic_fields(a) == semantic_fields(b)
+        if n == 6:
+            assert a.stats["restarts"] == 4
     assert a.outcome == OUTCOME_INCONCLUSIVE and a.stats["restarts"] == 3
 
 
@@ -248,39 +253,47 @@ def test_local_search_makes_restarts_only_as_needed():
     assert report.stats["restarts"] == 1
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: runs each call as it is submitted, and records
-    the worker count asked for and the number of calls submitted."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.max_workers, self.submitted = max_workers, 0
-        InlinePool.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def test_local_search_pool_is_bounded_by_cpus_and_fed_lazily(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_local_search_workers_are_bounded_lazy_and_checked(monkeypatch):
+    forks, fork = [], os.fork
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(InlinePool, "made", [])
-    # Of 17 restarts the sixth finds an avoider: it is in the second batch of four.
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    # Of 17 restarts the sixth finds an avoider, in worker 1: three children, not 63.
     report = local_search(4, seed=7, budget=40000, jobs=64)
     assert semantic_fields(report) == semantic_fields(local_search(4, seed=7, budget=40000))
+    assert len(forks) == 3
+    # 333 million restarts fit this budget: no worker may list its seeds.
     report = local_search(1, seed=0, budget=10**11, jobs=64)
     assert report.outcome == OUTCOME_FOUND and report.stats["restarts"] == 1
-    assert [(pool.max_workers, pool.submitted) for pool in InlinePool.made] == [(4, 8), (4, 4)]
+    assert len(forks) == 6
+
+    # Without os.fork every restart runs in this process.
+    calls, restart = [], search._one_restart
+    monkeypatch.setattr(search, "_one_restart", lambda *args: calls.append(args) or restart(*args))
+    monkeypatch.delattr(os, "fork")
+    report = local_search(5, seed=4, budget=21870, jobs=64)
+    assert len(calls) == report.stats["restarts"] == 3
+    assert semantic_fields(report) == semantic_fields(local_search(5, seed=4, budget=21870))
+    monkeypatch.undo()
+
+    # A worker whose restart raises ends with status 1, and the search says so.
+    parent = os.getpid()
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("the restart fails")
+        return restart(*args)
+
+    monkeypatch.setattr(search, "_one_restart", fails_in_a_child)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the search hung on a failed worker"))
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="worker 1 ended with exit status 1"):
+            local_search(5, seed=4, budget=21870, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def full_recount_restart(n, restart_seed, max_flips):
