@@ -9,10 +9,11 @@ one int32 array: clause k is row k, zero-padded after its last literal
 Instances are written as DIMACS with a header comment naming the encoded
 family (n, m and symmetry breaking), which also names the line of each
 clause pair; they can be fed to any external solver that takes a file
-path and prints the usual "s SATISFIABLE" / "v ..." lines, and a small
-built-in CDCL solver, which logs a DRUP proof of every unsat answer,
-decides the cubes this package cares about when no solver is installed.
-A decoded model is checked by a scan that shares no table with encode.
+path and prints the usual "s SATISFIABLE" / "v ..." lines, and the
+built-in CDCL solver of :mod:`hjinterval.solver`, which logs a DRUP proof
+of every unsat answer, decides the cubes this package cares about when no
+solver is installed.  A decoded model is checked by a scan that shares no
+table with encode.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import re
 import shlex
 import subprocess
-import time
 from dataclasses import dataclass
 from itertools import chain, islice
 from numbers import Real
@@ -37,6 +37,7 @@ from .cube import (
     m_interval_active_sets,
     m_interval_line_members,
 )
+from .solver import SolveOutcome, solve_builtin  # noqa: F401  (re-exported: callers import both from here)
 
 # First word of the DIMACS comment that names an encoded instance's family.
 _HEADER_TAG = "hjinterval"
@@ -217,21 +218,6 @@ def write_dimacs_file(instance: CnfInstance, path: str) -> None:
         fh.writelines(text.encode("ascii") for text in _dimacs_lines(instance))
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Solver verdict: sat with a model, unsat, or unknown with a reason.
-
-    ``proof`` holds the built-in solver's learnt clauses, in order, as
-    DRUP lemmas; an unsat proof ends with the empty clause.  It is None
-    for an external solver.
-    """
-
-    status: str
-    model: tuple[int, ...] | None = None
-    diagnostics: str = ""
-    proof: tuple[tuple[int, ...], ...] | None = None
-
-
 def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> SolveOutcome:
     """Invoke an external solver as ``<command> <cnf_path>`` and parse s/v lines.
 
@@ -277,208 +263,34 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
     )
 
 
-def _luby(i: int) -> int:
-    """The i-th term (from 1) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
-    while True:
-        k = i.bit_length()
-        if i == (1 << k) - 1:
-            return 1 << (k - 1)
-        i -= (1 << (k - 1)) - 1
-
-
-def solve_builtin(instance: CnfInstance, timeout: float | None = None) -> SolveOutcome:
-    """Complete CDCL solver in the MiniSat mould (Een & Sorensson 2003).
-
-    Two watched literals, first-UIP clause learning, activity branching
-    with phase saving (colour 0 first) and Luby restarts.  There is no
-    randomness, so an instance always gets the same model, and no learnt
-    clause is ever deleted.  Every learnt clause is logged, in order, as
-    a DRUP lemma in ``proof``; an unsat run ends the proof with the empty
-    clause.  With a timeout in seconds, the clock is read once per
-    conflict, and a run past it stops with status "unknown".  Inside,
-    literal l is coded 2*|l| + (l < 0), so code ^ 1 is its negation.
-    """
-    # Imported here so that importing the package does not load it.
-    from heapq import heapify, heappop, heappush
-
-    n_vars = instance.n_vars
-    value: list[bool | None] = [None] * (2 * n_vars + 2)  # per literal code
-    level = [0] * (n_vars + 1)
-    reason: list[int | None] = [None] * (n_vars + 1)  # clause that implied the variable
-    phase = [False] * (n_vars + 1)  # last value, True for the positive literal
-    activity = [0.0] * (n_vars + 1)
-    heap = [(0.0, var) for var in range(1, n_vars + 1)]  # (-activity, var), lazily pruned
-    clauses: list[list[int]] = []  # watched literals in positions 0 and 1
-    watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
-    trail: list[int] = []
-    limits: list[int] = []  # trail length when each decision level began
-    proof: list[tuple[int, ...]] = []
-    qhead = 0
-    bump_by = 1.0
-
-    def assign(lit: int, why: int | None) -> None:
-        value[lit], value[lit ^ 1] = True, False
-        level[lit >> 1], reason[lit >> 1] = len(limits), why
-        trail.append(lit)
-
-    def add_clause(lits: list[int]) -> None:
-        ci = len(clauses)
-        clauses.append(lits)
-        watches[lits[0]].append(ci)
-        watches[lits[1]].append(ci)
-
-    def propagate() -> int | None:
-        """Unit propagation; returns a falsified clause, or None."""
-        nonlocal qhead
-        while qhead < len(trail):
-            false_lit = trail[qhead] ^ 1
-            qhead += 1
-            watching = watches[false_lit]
-            watches[false_lit] = kept = []
-            for k, ci in enumerate(watching):
-                c = clauses[ci]
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], false_lit
-                first = c[0]
-                if value[first]:
-                    kept.append(ci)
-                    continue
-                for j in range(2, len(c)):
-                    if value[c[j]] is not False:
-                        c[1], c[j] = c[j], false_lit
-                        watches[c[1]].append(ci)
-                        break
-                else:
-                    kept.append(ci)
-                    if value[first] is False:
-                        kept.extend(watching[k + 1 :])
-                        return ci
-                    assign(first, ci)
-        return None
-
-    def analyze(ci: int) -> list[int]:
-        """The first-UIP learnt clause of a conflict, asserting literal first."""
-        nonlocal bump_by
-        seen = set()
-        learnt = [0]
-        pending = 0
-        idx = len(trail) - 1
-        lit = None
-        while True:
-            c = clauses[ci]
-            for q in c if lit is None else c[1:]:  # a reason clause holds its implied literal first
-                var = q >> 1
-                if var not in seen and level[var]:
-                    seen.add(var)
-                    activity[var] += bump_by
-                    if level[var] == len(limits):
-                        pending += 1
-                    else:
-                        learnt.append(q)
-            while trail[idx] >> 1 not in seen:
-                idx -= 1
-            lit = trail[idx]
-            idx -= 1
-            pending -= 1
-            if not pending:
-                break
-            ci = reason[lit >> 1]
-        learnt[0] = lit ^ 1
-        bump_by /= 0.95
-        if bump_by > 1e100:
-            for var in range(1, n_vars + 1):
-                activity[var] *= 1e-100
-            bump_by *= 1e-100
-            rebuild_heap()
-        return learnt
-
-    def rebuild_heap() -> None:
-        heap[:] = [(-activity[v], v) for v in range(1, n_vars + 1) if value[2 * v] is None]
-        heapify(heap)
-
-    def backtrack(target: int) -> None:
-        nonlocal qhead
-        if len(limits) > target:
-            qhead = limits[target]
-            for lit in trail[qhead:]:
-                var = lit >> 1
-                value[lit] = value[lit ^ 1] = None
-                phase[var] = not lit & 1
-                heappush(heap, (-activity[var], var))
-            del trail[qhead:], limits[target:]
-
-    def unsat() -> SolveOutcome:
-        proof.append(())
-        return SolveOutcome("unsat", proof=tuple(proof))
-
-    for cl in instance.clause_tuples():
-        lits = list(dict.fromkeys(2 * abs(l) + (l < 0) for l in cl))
-        if len(lits) > 1:
-            add_clause(lits)
-        elif value[lits[0]] is None:
-            assign(lits[0], None)
-        elif value[lits[0]] is False:
-            return unsat()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    conflicts = 0
-    restarts = 0
-    next_restart = 100 * _luby(1)
-    while True:
-        ci = propagate()
-        if ci is None:
-            if conflicts >= next_restart:
-                restarts += 1
-                next_restart = conflicts + 100 * _luby(restarts + 1)
-                backtrack(0)
-                rebuild_heap()
-            elif len(heap) > 2 * n_vars:  # drop the stale entries that backtracking left
-                rebuild_heap()
-            while heap and value[2 * heap[0][1]] is not None:
-                heappop(heap)
-            if not heap:
-                model = tuple(v if value[2 * v] else -v for v in range(1, n_vars + 1))
-                return SolveOutcome("sat", model, proof=tuple(proof))
-            var = heappop(heap)[1]
-            limits.append(len(trail))
-            assign(2 * var + (not phase[var]), None)
-        elif not limits:
-            return unsat()
-        else:
-            if deadline is not None and time.monotonic() >= deadline:
-                return SolveOutcome(
-                    "unknown",
-                    diagnostics=f"built-in solver reached its {timeout}s limit after "
-                    f"{conflicts} conflicts and {len(proof)} lemmas",
-                )
-            conflicts += 1
-            learnt = analyze(ci)
-            # The asserting literal first, then the one of the highest level left.
-            learnt.sort(key=lambda q: level[q >> 1], reverse=True)
-            proof.append(tuple(-(q >> 1) if q & 1 else q >> 1 for q in learnt))
-            if len(learnt) == 1:
-                backtrack(0)
-                assign(learnt[0], None)
-            else:
-                backtrack(level[learnt[1] >> 1])
-                add_clause(learnt)
-                assign(learnt[0], len(clauses) - 1)
+def _literal_values(model: Iterable[int], n_vars: int) -> np.ndarray:
+    """Which literals the model holds, as a bool array by literal: entry lit for a variable,
+    entry -lit, wrapping round, for its negation, and entry 0 never set.  Raises ValueError
+    naming the first literal outside +-1..n_vars, else the least variable given both ways."""
+    lits = np.fromiter(model, object)  # Python ints, so a literal past int64 is refused too
+    outside = (lits == 0) | (lits < -n_vars) | (lits > n_vars)
+    if outside.any():
+        raise ValueError(f"model literal {lits[outside.argmax()]} outside +-1..{n_vars}")
+    value = np.zeros(2 * n_vars + 1, dtype=bool)
+    value[lits.astype(int)] = True
+    both = value[1 : n_vars + 1] & value[:n_vars:-1]  # entry v - 1: v and -v
+    if both.any():
+        raise ValueError(f"model assigns variable {both.argmax() + 1} both ways")
+    return value
 
 
 def check_model(instance: CnfInstance, model: Iterable[int]) -> str | None:
     """None when the model makes every clause of the instance true, else the reason it
     does not: a literal outside +-1..n_vars, a variable given both ways, or the first
     clause with no true literal."""
-    value = np.zeros(2 * instance.n_vars + 1, dtype=bool)  # by literal; -lit wraps round
-    for lit in model:
-        if not 1 <= abs(lit) <= instance.n_vars:
-            return f"model literal {lit} outside +-1..{instance.n_vars}"
-        if value[-lit]:
-            return f"model assigns variable {abs(lit)} both ways"
-        value[lit] = True
+    try:
+        value = _literal_values(model, instance.n_vars)
+    except ValueError as exc:
+        return str(exc)
     satisfied = value[instance.clauses].any(axis=1)  # padding reads value[0], never set
     if satisfied.all():
         return None
-    k = int(satisfied.argmin())
+    k = satisfied.argmin()
     clause = [lit for lit in instance.clauses[k].tolist() if lit]
     return f"clause {k + 1} ({' '.join(map(str, (*clause, 0)))}) has no true literal"
 
@@ -498,20 +310,12 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     silently shipping such a "witness" would poison everything downstream.
     """
     size = 3**n
-    values = {}
-    for lit in model:
-        var = abs(lit)
-        if not 1 <= var <= size:
-            raise ValueError(f"model literal {lit} outside +-1..{size}")
-        val = lit > 0
-        if values.get(var, val) != val:
-            raise ValueError(f"model assigns variable {var} both ways")
-        values[var] = val
-    missing = [v for v in range(1, size + 1) if v not in values]
-    if missing:
-        raise ValueError(f"incomplete model: variable {missing[0]} of {size} unassigned")
-    bits = np.fromiter((1 if values[v] else 0 for v in range(1, size + 1)), dtype=np.uint8, count=size)
-    coloring = Coloring(n, bits)
+    value = _literal_values(model, size)
+    bits = value[1 : size + 1]
+    assigned = bits | value[:size:-1]
+    if not assigned.all():
+        raise ValueError(f"incomplete model: variable {assigned.argmin() + 1} of {size} unassigned")
+    coloring = Coloring._adopt(n, bits.astype(np.uint8))
     line = first_mono_line(coloring.bits, n, m)
     if line is not None:
         name = line_names(line.active, [(p, (v,)) for p, v in line.fixed])[0]

@@ -15,6 +15,7 @@ interval lines, and the file format.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -259,17 +260,31 @@ def first_mono_line(bits: np.ndarray, n: int, m: int = 1) -> Line | None:
 
 
 class Coloring:
-    """A two-colouring of the n-cube, stored as one uint8 per word rank."""
+    """A two-colouring of the n-cube, stored as one read-only uint8 per word rank.
+
+    ``Coloring(n, bits)`` holds a private copy of ``bits``.  The package's own functions
+    that make colourings hand the arrays they just built to :meth:`_adopt`, which holds
+    them without one."""
 
     __slots__ = ("n", "_bits")
 
     def __init__(self, n: int, bits: np.ndarray):
+        self._hold(n, np.asarray(bits), copy=True)
+
+    @classmethod
+    def _adopt(cls, n: int, bits: np.ndarray) -> "Coloring":
+        """The colouring whose cells are ``bits``, a uint8 array that its caller just built
+        and makes no other use of: checked and made read-only, without a copy."""
+        coloring = cls.__new__(cls)
+        coloring._hold(n, bits, copy=False)
+        return coloring
+
+    def _hold(self, n: int, bits: np.ndarray, copy: bool) -> None:
         if n < 1:
             raise ValueError("n must be >= 1")
-        bits = np.asarray(bits)
         if bits.shape != (3**n,):
             raise ValueError(f"expected {3 ** n} cells for n={n}, got shape {bits.shape}")
-        colours = bits.astype(np.uint8)  # a private copy, so no caller's view can change it
+        colours = bits.astype(np.uint8, copy=copy)  # copied, so no caller's view can change it
         if colours.max() > 1 or (bits.dtype != np.uint8 and (colours != bits).any()):
             raise ValueError("colours must be 0 or 1")
         colours.setflags(write=False)
@@ -284,7 +299,7 @@ class Coloring:
     def constant(cls, n: int, color: int) -> "Coloring":
         if color not in (0, 1):
             raise ValueError("colour must be 0 or 1")
-        return cls(n, np.full(3**n, color, dtype=np.uint8))
+        return cls._adopt(n, np.full(3**n, color, dtype=np.uint8))
 
     @classmethod
     def random(cls, n: int, seed: int) -> "Coloring":
@@ -296,7 +311,7 @@ class Coloring:
             k = min(1 << 24, 3**n - start)
             chunk = np.frombuffer(rng.getrandbits(k).to_bytes((k + 7) // 8, "little"), np.uint8)
             bits[start : start + k] = np.unpackbits(chunk, count=k, bitorder="little")
-        return cls(n, bits)
+        return cls._adopt(n, bits)
 
     def get(self, word: Word) -> int:
         if word.n != self.n:
@@ -383,15 +398,18 @@ def apply_symmetry(coloring: Coloring, g: Symmetry) -> Coloring:
     """The colouring w -> g(c)(w) = c(g^-1 w), colour-swapped when g asks for it."""
     bits = coloring.bits[rank_permutation(g, coloring.n)]
     if g.swap_colors:
-        bits = bits ^ 1
-    return Coloring(coloring.n, bits)
+        bits ^= 1
+    return Coloring._adopt(coloring.n, bits)
 
 
 # --- colouring file format ---------------------------------------------------
 #
 # Line 1: "HJC 3 <n>".  Line 2: exactly 3^n characters from {0,1}, position i
 # holding the colour of the word of rank i.  Trailing newline optional, any
-# other byte is an error.  Files open in binary mode, so ASCII decodes without a codec lookup.
+# other byte is an error.  A file is read as bytes, once, into a uint8 array
+# whose body becomes the colouring's cells in place; text takes the same parser,
+# one byte per character.  Saving writes the header and then the cells plus
+# ord("0") straight from the array.
 
 
 def is_count(text: str) -> bool:
@@ -404,35 +422,54 @@ def coloring_to_text(coloring: Coloring) -> str:
     return f"HJC 3 {coloring.n}\n{coloring.bitstring}\n"
 
 
-def coloring_from_text(text: str) -> Coloring:
-    head, sep, body = text.partition("\n")
-    if not sep:
+def _parse_coloring(buf: np.ndarray, text: str | None = None) -> Coloring:
+    """The colouring that the format's bytes in ``buf``, a writable uint8 array, spell; the
+    body becomes its cells in place.  ``buf`` holds a file's bytes, which must be ASCII, or
+    ``text`` one byte per character, and then the messages quote ``text``.  Refusals come
+    in this order: a non-ASCII byte of a file, the header, the dimension, the length and
+    the first bad colour byte."""
+    if text is None and buf.size and buf.max() > 127:
+        buf.tobytes().decode("ascii")  # raises, naming the first non-ASCII byte and its position
+    # A good header line is at most 24 bytes; only a bad one is looked for past 64.
+    nl = buf[:64].tobytes().find(b"\n")
+    if nl < 0 and (nl := buf.tobytes().find(b"\n")) < 0:
         raise ValueError("colouring file needs a header line 'HJC 3 <n>'")
+    head = buf[:nl].tobytes().decode("ascii") if text is None else text[:nl]
     parts = head.split(" ")
     if len(parts) != 3 or parts[0] != "HJC" or parts[1] != "3" or not is_count(parts[2]):
         raise ValueError(f"bad colouring header {head!r}")
     n = int(parts[2])
     if n < 1:
         raise ValueError(f"bad dimension {n} in colouring header")
-    if body.endswith("\n"):
+    body = buf[nl + 1 :]
+    if body.size and body[-1] == ord("\n"):
         body = body[:-1]
     # 3**n > 2**n, so an n past the bit length of the body is refused without the power.
     if n > len(body).bit_length() or len(body) != 3**n:
         raise ValueError(f"expected 3**{n} colour characters for n={n}, got {len(body)}")
-    # Latin-1 keeps one byte per character; anything beyond it becomes "?".
-    bits = np.frombuffer(body.encode("latin-1", "replace"), dtype=np.uint8) - ord("0")
-    bad = bits > 1
-    if bad.any():
-        pos = int(bad.argmax())
-        raise ValueError(f"bad colour byte {body[pos]!r} at position {pos}")
-    return Coloring(n, bits)
+    body -= ord("0")  # "0" and "1" become colours; every other byte, wrapping, exceeds 1
+    if body.max() > 1:
+        pos = (body > 1).argmax()
+        bad = chr((int(body[pos]) + ord("0")) % 256) if text is None else text[nl + 1 + pos]
+        raise ValueError(f"bad colour byte {bad!r} at position {pos}")
+    return Coloring._adopt(n, body)
+
+
+def coloring_from_text(text: str) -> Coloring:
+    # Latin-1 keeps one byte per character; anything beyond it becomes "?", a bad byte.
+    return _parse_coloring(np.frombuffer(bytearray(text.encode("latin-1", "replace")), np.uint8), text)
 
 
 def save_coloring(coloring: Coloring, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(coloring_to_text(coloring).encode("ascii"))
+        fh.write(f"HJC 3 {coloring.n}\n".encode("ascii"))
+        fh.write(coloring.bits + ord("0"))
+        fh.write(b"\n")
 
 
 def load_coloring(path: str) -> Coloring:
     with open(path, "rb") as fh:
-        return coloring_from_text(fh.read().decode("ascii"))
+        buf = bytearray(os.fstat(fh.fileno()).st_size)  # 0 bytes for a pipe
+        del buf[fh.readinto(buf) :]
+        buf += fh.read()  # what a pipe holds, or a file that grew
+    return _parse_coloring(np.frombuffer(buf, np.uint8))

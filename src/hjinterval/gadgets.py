@@ -31,7 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cube import Coloring, Line, Word, first_mono_line, interval_line, is_monochromatic, rank, unrank
+from .cube import (
+    ALPHABET, Coloring, Line, Word, first_mono_line, interval_line, is_monochromatic, rank, unrank,
+)
 from .patterns import Pattern, contract
 
 #: The five seed patterns, in the order their colour sets are consulted.
@@ -307,20 +309,27 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     seed pattern p, and d[0] for every other word."""
     d = _check_color_vector(d)
     longest = max(SEED_LENGTHS)
-    # One pass over the axes of the (3,)*n cube, whose C order is rank order, with the
-    # letters along axis i broadcast: count the runs and pack the letters of the first
-    # `longest` runs base 4, so a contraction's code is unique.
-    runs = np.zeros((3,) * n, dtype=np.uint8)
-    code = np.zeros((3,) * n, dtype=np.uint16)
-    prev = 0  # no letter: coordinate 1 opens a run
-    for i in range(n):
-        letter = np.arange(1, 4, dtype=np.uint8).reshape((3,) + (1,) * (n - 1 - i))
-        new_run = letter != prev
-        runs += new_run
-        code = np.where(new_run & (runs <= longest), code * 4 + letter, code)
-        prev = letter
-    code[runs > longest] = 0
-    colour_of_code = np.full(4**longest, d[0], dtype=np.uint8)
-    for p, colour in zip(SEED_PATTERNS, d):
-        colour_of_code[int(str(p), 4)] = colour  # letters 1..3 are base-4 digits
-    return Coloring(n, colour_of_code[code].ravel())
+    # An automaton reads a word's letters.  Its states are the contractions of at most
+    # `longest` letters, then None for all longer ones, numbered as they are reached, and
+    # step[i][v - 1] is the state after state i reads letter v.  The cube's states, one
+    # uint8 a word in rank order, grow by a coordinate a step, the last one fastest; the
+    # last step reads colours instead of states.
+    states, number, step = [()], {(): 0}, []
+    for state in states:  # grows as states are reached
+        row = []
+        for v in ALPHABET:
+            if state is None or state[-1:] == (v,):
+                after = state
+            else:
+                after = state + (v,) if len(state) < longest else None
+            if after not in number:
+                number[after] = len(states)
+                states.append(after)
+            row.append(number[after])
+        step.append(row)
+    seeds = {p.letters: colour for p, colour in zip(SEED_PATTERNS, d)}
+    colour = np.array([[seeds.get(states[j], d[0]) for j in row] for row in step], dtype=np.uint8)
+    table, cells = np.array(step, dtype=np.uint8), np.zeros(1, dtype=np.uint8)
+    for _ in range(n - 1):
+        cells = table[cells].ravel()
+    return Coloring._adopt(n, colour[cells].ravel())

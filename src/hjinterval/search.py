@@ -240,7 +240,8 @@ def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: in
     """Each restart's result, in seed order.  With workers > 1 and ``os.fork``, workers - 1
     children forked after the line tables are built inherit them; worker w (0 is this
     process) runs restarts k = w mod workers from its own copy of the seeds, and a child
-    pickles each result down its pipe or exits 1.  Closing kills and reaps the children."""
+    pickles each result down its pipe, or the type and message of the exception that
+    stopped it and exits 1.  Closing kills and reaps the children."""
     if workers == 1 or not hasattr(os, "fork"):
         yield from (_one_restart(n, s, per_restart) for s in seeds)
         return
@@ -259,10 +260,13 @@ def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: in
                 try:
                     os.close(read_fd)
                     with os.fdopen(write_fd, "wb") as out:
-                        for s in islice(seeds, w, None, workers):
-                            pickle.dump(_one_restart(n, s, per_restart), out)
-                            out.flush()
-                    status = 0
+                        try:
+                            for s in islice(seeds, w, None, workers):
+                                pickle.dump(_one_restart(n, s, per_restart), out)
+                                out.flush()
+                            status = 0
+                        except Exception as exc:  # its cause goes to the parent, as text
+                            pickle.dump(f"{type(exc).__name__}: {exc}", out)
                 finally:
                     os._exit(status)
             children.append((pid, os.fdopen(read_fd, "rb")))
@@ -272,14 +276,18 @@ def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: in
             for w, (pid, pipe) in enumerate(children, 1):
                 try:
                     result = pickle.load(pipe)
-                except EOFError:  # the child ran out of seeds (exit 0) or failed
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    children.remove((pid, pipe))  # reaped: not to be killed below
-                    pipe.close()
-                    if code:
-                        raise RuntimeError(f"local search worker {w} ended with exit status {code}")
-                    return
-                yield result
+                except EOFError:  # the child ran out of seeds (exit 0) or died
+                    result = None
+                if isinstance(result, tuple):
+                    yield result
+                    continue
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.remove((pid, pipe))  # reaped: not to be killed below
+                pipe.close()
+                if code:
+                    cause = "" if result is None else f": {result}"
+                    raise RuntimeError(f"local search worker {w} ended with exit status {code}{cause}")
+                return
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -323,7 +331,7 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     best, best_bits, _ = min(used, key=lambda r: r[0])
     flips = sum(r[2] for r in used)
     stats = {"restarts": len(used), "flips": flips, "wall_time_s": time.perf_counter() - t0}
-    coloring = Coloring(n, best_bits)
+    coloring = Coloring._adopt(n, best_bits)
     if violation_count(coloring) != best:
         raise RuntimeError(f"internal error: local search miscounted {best} violations")
     return SearchReport(

@@ -13,6 +13,7 @@ from hjinterval import cnf
 from hjinterval.cnf import (
     CnfInstance,
     EncoderBugError,
+    check_model,
     decode_model,
     encode,
     parse_dimacs,
@@ -548,6 +549,22 @@ def test_decode_model_refuses_literals_of_no_variable(extra):
     with pytest.raises(ValueError) as err:
         decode_model(model + [extra], 2)
     assert str(err.value) == f"model literal {extra} outside +-1..9"
+
+
+def test_model_readers_refuse_in_one_order():
+    # Range first, past int64 too, then the least variable given both ways; decoding
+    # then names the least variable left unassigned.
+    inst = encode(1)
+    for model, reason in (
+        ([3, -2, 2, 2**70, 4], "model literal 1180591620717411303424 outside +-1..3"),
+        ([-3, 3, -2, 2, 1], "model assigns variable 2 both ways"),
+    ):
+        assert check_model(inst, model) == reason
+        with pytest.raises(ValueError) as err:
+            decode_model(model, 1)
+        assert str(err.value) == reason
+    with pytest.raises(ValueError, match="incomplete model: variable 2 of 3 unassigned"):
+        decode_model([3, 1], 1)
 
 
 def test_decode_model_catches_bogus_model():

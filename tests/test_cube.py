@@ -1,12 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hjinterval.cnf import encode
+from hjinterval.cnf import decode_model, encode
 from hjinterval.cube import (
     Coloring,
     Line,
@@ -29,7 +30,7 @@ from hjinterval.cube import (
     unrank,
 )
 from hjinterval.gadgets import pattern_coloring
-from hjinterval.search import exhaustive_search, violation_count
+from hjinterval.search import exhaustive_search, local_search, violation_count
 
 from oracles import coloring_from_bits, enumerate_m_interval_lines, inverse_symmetry, symmetry_on_word
 
@@ -308,9 +309,10 @@ def test_from_bits_checks_values_before_narrowing(bad):
 
 def test_coloring_leaves_the_callers_array_writable():
     bits = np.zeros(9, np.uint8)
-    Coloring(2, bits)
+    c = Coloring(2, bits)
     bits[0] = 1
     assert bits[0] == 1
+    assert c.bitstring == "000000000"  # the colouring holds a copy
 
 
 def test_coloring_is_not_changed_through_an_earlier_view():
@@ -432,7 +434,29 @@ def test_coloring_text_roundtrip():
     assert coloring_from_text(text) == c
 
 
-def test_coloring_text_rejects_malformed():
+def refusals(text: str, path) -> tuple[str, str]:
+    """The messages with which coloring_from_text refuses the text, and load_coloring
+    the file at path that holds the text as UTF-8."""
+    path.write_bytes(text.encode())
+    messages = []
+    for read in (lambda: coloring_from_text(text), lambda: load_coloring(str(path))):
+        with pytest.raises(ValueError) as err:
+            read()
+        messages.append(str(err.value))
+    return messages[0], messages[1]
+
+
+def file_refusal(text: str, message: str) -> str:
+    """What load_coloring says of a UTF-8 file holding text that coloring_from_text refuses
+    with the message: a file's first non-ASCII byte is refused before anything else."""
+    data = text.encode()
+    pos = next((i for i, byte in enumerate(data) if byte > 127), None)
+    if pos is None:
+        return message
+    return f"'ascii' codec can't decode byte {data[pos]:#x} in position {pos}: ordinal not in range(128)"
+
+
+def test_coloring_text_rejects_malformed(tmp_path):
     for bad in (
         "",
         "junk",
@@ -442,35 +466,48 @@ def test_coloring_text_rejects_malformed():
         "HJC 3 2\n" + "0" * 7 + "\u00e91",
         "HJC 3 0\n",
     ):
-        with pytest.raises(ValueError):
-            coloring_from_text(bad)
+        from_text, from_file = refusals(bad, tmp_path / "c.hjc")
+        assert from_file == file_refusal(bad, from_text)
 
 
-def test_coloring_text_refuses_huge_n_by_its_size():
+def test_coloring_text_refuses_huge_n_by_its_size(tmp_path):
     # 3**n is never built for an n the body cannot hold
-    with pytest.raises(ValueError) as err:
-        coloring_from_text("HJC 3 1000000\n" + "0" * 9 + "\n")
-    assert str(err.value) == "expected 3**1000000 colour characters for n=1000000, got 9"
+    message = "expected 3**1000000 colour characters for n=1000000, got 9"
+    assert refusals("HJC 3 1000000\n" + "0" * 9 + "\n", tmp_path / "c.hjc") == (message, message)
 
 
 @pytest.mark.parametrize("n", ["\u00b2", "\u0663", "1" * 5000])
-def test_coloring_header_refuses_numbers_before_int(n):
+def test_coloring_header_refuses_numbers_before_int(n, tmp_path):
     # int() fails on the superscript and on 5000 digits, and reads the Arabic-Indic 3 as 3
-    with pytest.raises(ValueError) as err:
-        coloring_from_text(f"HJC 3 {n}\n" + "0" * 27 + "\n")
-    assert str(err.value) == f"bad colouring header {'HJC 3 ' + n!r}"
+    text = f"HJC 3 {n}\n" + "0" * 27 + "\n"
+    message = f"bad colouring header {'HJC 3 ' + n!r}"
+    assert refusals(text, tmp_path / "c.hjc") == (message, file_refusal(text, message))
 
 
-def test_coloring_text_error_names_first_bad_character():
+def test_coloring_text_error_names_first_bad_character(tmp_path):
     for body, ch, pos in (
         ("01/" + "0" * 6, "/", 2),
         ("0" * 4 + "\u00e9" + "2" + "0" * 3, "\u00e9", 4),
         ("0" * 5 + "\u2603" + "0" * 3, "\u2603", 5),
         ("0" * 8 + "\x00", "\x00", 8),
+        ("0" * 3 + "2" + "\x7f" + "0" * 4, "2", 3),
     ):
-        with pytest.raises(ValueError) as err:
-            coloring_from_text(f"HJC 3 2\n{body}\n")
-        assert str(err.value) == f"bad colour byte {ch!r} at position {pos}"
+        text = f"HJC 3 2\n{body}\n"
+        message = f"bad colour byte {ch!r} at position {pos}"
+        assert refusals(text, tmp_path / "c.hjc") == (message, file_refusal(text, message))
+
+
+def test_coloring_file_line_ends(tmp_path):
+    # Bytes are read as they are: "\r" is a stray byte in the header, or one too many
+    # in the body; the final newline may be left out.
+    for text, message in (
+        ("HJC 3 1\r\n010\r\n", "bad colouring header 'HJC 3 1\\r'"),
+        ("HJC 3 1\n010\r\n", "expected 3**1 colour characters for n=1, got 4"),
+    ):
+        assert refusals(text, tmp_path / "c.hjc") == (message, message)
+    path = tmp_path / "short.hjc"
+    path.write_bytes(b"HJC 3 1\n010")
+    assert load_coloring(str(path)) == coloring_from_text("HJC 3 1\n010") == coloring_from_bits(1, [0, 1, 0])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -478,6 +515,46 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "c.hjc"
     save_coloring(c, str(path))
     assert load_coloring(str(path)) == c
+
+
+def test_coloring_files_hold_the_cells_once(tmp_path):
+    # Saving adds ord("0") to the cells once; loading reads the file into one array and
+    # turns its body into the cells in place.
+    c, path, cells = Coloring.random(12, seed=3), str(tmp_path / "c.hjc"), 3**12
+    tracemalloc.start()
+    try:
+        save_coloring(c, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_coloring(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == c
+    assert save_peak <= 1.5 * cells, save_peak / cells
+    assert load_peak <= 1.5 * cells, load_peak / cells
+
+
+def test_built_and_loaded_colorings_are_read_only(tmp_path):
+    path = tmp_path / "c.hjc"
+    save_coloring(Coloring.random(3, seed=1), str(path))
+    model = [-1, -2, 3, -4, 5, -6, 7, -8, -9]  # the least avoider of n=2
+    built = [
+        Coloring(2, np.zeros(9, np.uint8)),
+        Coloring.random(3, seed=1),
+        Coloring.constant(2, 1),
+        load_coloring(str(path)),
+        coloring_from_text("HJC 3 1\n010\n"),
+        apply_symmetry(Coloring.random(2, seed=2), Symmetry((2, 1, 3), True, True)),
+        pattern_coloring(5, (0, 1, 1, 0, 0)),
+        decode_model(model, 2),
+        local_search(2, seed=0, budget=300).coloring,
+        exhaustive_search(2).coloring,
+    ]
+    for c in built:
+        assert not c.bits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c.bits[0] = 1
 
 
 def test_all_words_enumeration_consistency():

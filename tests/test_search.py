@@ -276,7 +276,7 @@ def test_local_search_workers_are_bounded_lazy_and_checked(monkeypatch):
     assert semantic_fields(report) == semantic_fields(local_search(5, seed=4, budget=21870))
     monkeypatch.undo()
 
-    # A worker whose restart raises ends with status 1, and the search says so.
+    # A worker whose restart raises ends with status 1, and the search says so and why.
     parent = os.getpid()
 
     def fails_in_a_child(*args):
@@ -289,7 +289,9 @@ def test_local_search_workers_are_bounded_lazy_and_checked(monkeypatch):
     previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the search hung on a failed worker"))
     signal.alarm(60)
     try:
-        with pytest.raises(RuntimeError, match="worker 1 ended with exit status 1"):
+        with pytest.raises(
+            RuntimeError, match="worker 1 ended with exit status 1: ValueError: the restart fails"
+        ):
             local_search(5, seed=4, budget=21870, jobs=2)
     finally:
         signal.alarm(0)
