@@ -27,9 +27,9 @@ for n in (1, 2, 3, 4):
     print(f"{n}   {inst.n_vars:4d}   {len(inst.clauses):5d}")
 print()
 
-# The DIMACS header names the encoded family, and the writer names the line
-# behind each clause pair from it, so a foreign solver's input is still
-# self-describing.
+# The DIMACS file names the encoded family once, in its one comment: clause
+# pair k is line k of that family, so a foreign solver's input still says
+# what it encodes.
 
 print(write_dimacs(encode(1)))
 

@@ -6,9 +6,10 @@ three members colour 0, not all three colour 1, so models are exactly
 the colourings with no monochromatic line of that family.  Clauses are
 one int32 array: clause k is row k, zero-padded after its last literal
 (width 3 for every encoded family; the sym-break unit is -1 0 0).
-Instances are written as DIMACS with a header comment naming the encoded
-family (n, m and symmetry breaking), which also names the line of each
-clause pair; they can be fed to any external solver that takes a file
+Instances are written as DIMACS with one header comment naming the encoded
+family (n, m and symmetry breaking): clause pair k is row k of
+:func:`~hjinterval.cube.m_interval_line_members`, so no line is named
+again.  They can be fed to any external solver that takes a file
 path and prints the usual "s SATISFIABLE" / "v ..." lines, and the
 built-in CDCL solver of :mod:`hjinterval.solver`, which logs a DRUP proof
 of every unsat answer, decides the cubes this package cares about when no
@@ -22,21 +23,12 @@ import re
 import shlex
 import subprocess
 from dataclasses import dataclass
-from itertools import chain, islice
 from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cube import (
-    ALPHABET,
-    Coloring,
-    first_mono_line,
-    is_count,
-    line_names,
-    m_interval_active_sets,
-    m_interval_line_members,
-)
+from .cube import Coloring, first_mono_line, is_count, line_name, m_interval_line_members
 from .solver import SolveOutcome, solve_builtin  # noqa: F401  (re-exported: callers import both from here)
 
 # First word of the DIMACS comment that names an encoded instance's family.
@@ -61,7 +53,8 @@ class CnfInstance:
             bad = [v for v in literals if not isinstance(v, Real) or v % 1 or not -(2**63) <= v < 2**63]
             if bad:
                 raise ValueError(f"literal {bad[0]!r} is not an integer in the int64 range")
-        rows = rows.astype(np.int64)
+        if not np.can_cast(rows.dtype, np.int32):  # uint32, int64, floats, objects: checked wide
+            rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
             raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
         # Clause k is well formed when it starts with a literal and no literal follows a 0.
@@ -73,7 +66,8 @@ class CnfInstance:
             raise ValueError(f"clause {bad.argmax()} is empty or has a 0 before its last literal")
         if rows.size and (rows.max() > self.n_vars or rows.min() < -self.n_vars):
             beyond = (rows > self.n_vars) | (rows < -self.n_vars)
-            raise ValueError(f"literal {rows[beyond][0]} outside +-1..{self.n_vars}")
+            # int(): a bool array, checked as it is, would print True for the literal 1.
+            raise ValueError(f"literal {int(rows[beyond][0])} outside +-1..{self.n_vars}")
         object.__setattr__(self, "clauses", rows.astype(np.int32))
         self.clauses.setflags(write=False)
 
@@ -110,10 +104,9 @@ def encode(n: int, m: int = 1, sym_break: bool = False) -> CnfInstance:
 def write_dimacs(instance: CnfInstance) -> str:
     """DIMACS text, byte-stable for a given instance.
 
-    A family follows the "p cnf" line as "c hjinterval n=<n> m=<m> sym_break=<0|1>";
-    if the clause count is the family's, line k of the family is named above clause
-    pair k and "symmetry-break rank0=0" above the unit.  So a parsed file writes
-    back as it was, and a formula without a family gets no comments.
+    A family follows the "p cnf" line as "c hjinterval n=<n> m=<m> sym_break=<0|1>",
+    the file's one comment; a formula without a family gets none.  So a parsed file
+    writes back as it was.
     """
     return "".join(_dimacs_lines(instance))
 
@@ -121,28 +114,17 @@ def write_dimacs(instance: CnfInstance) -> str:
 def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
     rows = instance.clauses
     yield f"p cnf {instance.n_vars} {len(rows)}\n"
-    names: Iterator[str] = iter(())  # the comment line above each even row, from the family
     if instance.family is not None:
         n, m, sym_break = instance.family
         yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
-        if len(rows) == 2 * len(m_interval_line_members(n, m)) + sym_break:
-            # One active set's names at a time, taken as the slices below need them.
-            names = chain(
-                chain.from_iterable(
-                    line_names(a, [(p, ALPHABET) for p in range(1, n + 1) if p not in a], ("c ", "\n"))
-                    for a in m_interval_active_sets(n, m)
-                ),
-                ["c symmetry-break rank0=0\n"] * sym_break,
-            )
     # words[top + v] is literal v's text ("" for the padding 0): like the solver's
     # per-variable lists, it takes memory in proportion to the largest variable.
     top = int(np.abs(rows).max(initial=0))
     words = np.array([f"{v} " if v else "" for v in range(-top, top + 1)], dtype=object)
     for start in range(0, len(rows), 4096):  # a slice at a time, so no text is ever whole
-        block, above = rows[start : start + 4096], list(islice(names, 2048))
-        cells = np.empty((len(block), block.shape[1] + 2), dtype=object)  # row k: clause k
-        cells[:, 0], cells[:, 1:-1], cells[:, -1] = "", words[top + block], "0\n"
-        cells[: 2 * len(above) : 2, 0] = above
+        block = rows[start : start + 4096]
+        cells = np.empty((len(block), block.shape[1] + 1), dtype=object)  # row k: clause k
+        cells[:, :-1], cells[:, -1] = words[top + block], "0\n"
         yield "".join(cells.ravel().tolist())
 
 
@@ -318,6 +300,5 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     coloring = Coloring._adopt(n, bits.astype(np.uint8))
     line = first_mono_line(coloring.bits, n, m)
     if line is not None:
-        name = line_names(line.active, [(p, (v,)) for p, v in line.fixed])[0]
-        raise EncoderBugError(f"decoded model leaves {name} monochromatic")
+        raise EncoderBugError(f"decoded model leaves {line_name(line)} monochromatic")
     return coloring

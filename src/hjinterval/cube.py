@@ -19,7 +19,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -145,23 +145,10 @@ def runs_of(coords: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def line_names(
-    active: tuple[int, ...], pins: Iterable[tuple[int, Iterable[int]]], frame: tuple[str, str] = ("", "")
-) -> list[str]:
-    """Names "line 1..2+4..4 fixed=3:1,5:2" of lines with one active set, each framed as
-    frame[0] + name + frame[1]: one for each choice of a letter at every pinned (position,
-    letters), the last position fastest, which with all of ALPHABET at every pinned position
-    is the row order of :func:`m_interval_line_members`."""
-    texts = [[f"{p}:{v}," for v in letters] for p, letters in pins] or [["-,"]]
-    # The head joins the first pin's texts and the frame's end replaces the last one's comma,
-    # so the product below makes each name with one concatenation per pinned position.
-    head = frame[0] + "line " + "+".join(f"{lo}..{hi}" for lo, hi in runs_of(active)) + " fixed="
-    texts[0] = [head + t for t in texts[0]]
-    texts[-1] = [t[:-1] + frame[1] for t in texts[-1]]
-    names = texts[0]
-    for column in texts[1:]:
-        names = [name + t for name in names for t in column]
-    return names
+def line_name(line: Line) -> str:
+    """The name "line 1..2+4..4 fixed=3:1,5:2" of a line, "fixed=-" when nothing is pinned."""
+    runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(line.active))
+    return f"line {runs} fixed=" + (",".join(f"{p}:{v}" for p, v in line.fixed) or "-")
 
 
 def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None) -> Line:

@@ -13,9 +13,7 @@ from hjinterval.cube import (
     Word,
     interval_line,
     is_monochromatic,
-    rank,
     runs_of,
-    unrank,
 )
 from hjinterval.gadgets import SEED_PATTERNS, LineCertificate
 from hjinterval.patterns import Pattern, realize
@@ -44,20 +42,6 @@ def enumerate_m_interval_lines(n, m=1):
         rest = tuple(i for i in coords if i not in active)
         for letters in itertools.product(ALPHABET, repeat=len(rest)):
             yield Line(n, active, tuple(zip(rest, letters)))
-
-
-def line_of_members(n, members):
-    """The line whose points, moving letter 1, 2, 3, have the three given ranks: the
-    active set is where the first two words differ, the other letters are pinned."""
-    first, second = (unrank(int(r), n) for r in members[:2])
-    coords = range(1, n + 1)
-    line = Line(
-        n,
-        tuple(i for i in coords if first[i] != second[i]),
-        tuple((i, first[i]) for i in coords if first[i] == second[i]),
-    )
-    assert [rank(p) for p in line.points()] == [int(r) for r in members]
-    return line
 
 
 def symmetry_on_word(g, word):

@@ -11,7 +11,14 @@ import pytest
 
 from hjinterval import cli, gadgets
 from hjinterval.cli import build_parser, main
-from hjinterval.cnf import SolveOutcome, encode, solve_builtin, write_dimacs, write_dimacs_file
+from hjinterval.cnf import (
+    SolveOutcome,
+    encode,
+    parse_dimacs,
+    solve_builtin,
+    write_dimacs,
+    write_dimacs_file,
+)
 from hjinterval.cube import Coloring, coloring_to_text, load_coloring
 from hjinterval.gadgets import find_interval_line, pattern_coloring, render_certificate
 from hjinterval.search import exhaustive_search, violation_count
@@ -353,6 +360,28 @@ def test_encode_writes_family_header(tmp_path, capsys):
     run_cli(capsys, "encode", "--n", "3", "--max-intervals", "2", "--out", str(cnf_path))
     rows = cnf_path.read_text().splitlines()
     assert rows[:2] == ["p cnf 27 74", "c hjinterval n=3 m=2 sym_break=0"]
+
+
+# encode(2, sym_break=True) as files were written when a comment named each clause pair's line.
+LINE_NAMED_DIMACS = (
+    "p cnf 9 15\nc hjinterval n=2 m=1 sym_break=1\n"
+    "c line 1..1 fixed=2:1\n1 4 7 0\n-1 -4 -7 0\n"
+    "c line 1..1 fixed=2:2\n2 5 8 0\n-2 -5 -8 0\n"
+    "c line 1..1 fixed=2:3\n3 6 9 0\n-3 -6 -9 0\n"
+    "c line 1..2 fixed=-\n1 5 9 0\n-1 -5 -9 0\n"
+    "c line 2..2 fixed=1:1\n1 2 3 0\n-1 -2 -3 0\n"
+    "c line 2..2 fixed=1:2\n4 5 6 0\n-4 -5 -6 0\n"
+    "c line 2..2 fixed=1:3\n7 8 9 0\n-7 -8 -9 0\n"
+    "c symmetry-break rank0=0\n-1 0\n"
+)
+
+
+def test_solve_reads_a_file_with_line_comments_as_before(tmp_path, capsys):
+    assert parse_dimacs(LINE_NAMED_DIMACS) == encode(2, sym_break=True)
+    cnf_path = tmp_path / "named.cnf"
+    cnf_path.write_bytes(LINE_NAMED_DIMACS.encode("ascii"))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert (code, out) == (0, "solver=builtin-cdcl\nstatus=sat\ncoloring=001011110\nverified=yes\n")
 
 
 def test_solve_verifies_against_the_encoded_family(
@@ -778,6 +807,12 @@ def test_readme_synopsis_names_every_declared_option():
     }
     documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in _readme_synopsis()}
     assert documented == declared
+
+
+def test_readme_cnf_example_is_what_encode_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```text\n(p cnf .*?)```", readme, re.S).group(1)
+    assert example == write_dimacs(encode(1))
 
 
 def test_console_script_declared(tmp_path, child_env):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import random
 import re
 
 import numpy as np
@@ -27,30 +26,31 @@ from hjinterval.cube import (
     is_monochromatic,
     m_interval_line_members,
     rank,
-    runs_of,
 )
 from hjinterval.drup import check_proof
 from hjinterval.search import violation_count
 
-from oracles import enumerate_m_interval_lines, line_of_members
+from oracles import enumerate_m_interval_lines
 
 EXPECTED_SIZES = {1: (3, 2), 2: (9, 14), 3: (27, 68)}
 
-# sha256 of write_dimacs(encode(n, m, sym_break)), recorded from the writer that
-# formatted one tuple of Python ints per clause; the array writer must match it.
+# sha256 of write_dimacs(encode(n, m, sym_break)): the text of the writer that named
+# the line above each clause pair, with its "c line " and "c symmetry-break " comment
+# lines deleted.  Its clause lines came from the writer that formatted one tuple of
+# Python ints per clause.
 GOLDEN_DIMACS_SHA256 = {
-    (6, 1, False): "338eab91484a9a3fcd89fd2c71151ef47cca1363b2e0f2ccffed8a3d0133c0a1",
-    (6, 1, True): "3a65100970fc1b32f70460dc5acd46b37f735fa1be4dd2263c6be8edd8776965",
-    (6, 6, False): "a5d1b11b02607a009f6da9d62f9faa88107f4a866bc9e2335e54afd7905c590e",
-    (6, 6, True): "fb0423c58a3d887f9075fc947dda8dc779d0791f85c8a198ff48894aca5340b0",
-    (7, 2, False): "72b548aea8883ff15d61c2d636121054bc3d36b602909b37e38666c2949b0e71",
-    (7, 2, True): "af7e5934eb71c869d3604d02bc9840b34bcb34110517e472ce31573e943a2395",
-    (7, 7, False): "84e219c603767245a728c15dd36ebd91a787e1b3f33fbcec933ce4f8e93b21a1",
-    (7, 7, True): "6f724900bcd8eab6480beb284bb41084a4e16d34486378bc25834383ea8eb557",
+    (6, 1, False): "5abad3cf91b65668c138e1f53d97d5b0315708894ab13933b839c3a9045b2263",
+    (6, 1, True): "88f8f6a2b5d566deb2339bec450905f96cf89c61cd7f401b11f07625f6c4f296",
+    (6, 6, False): "d66aea43b538cec998e7a6bbbfefeec1aac1d1d4fe57ef06bc9b22c1df8b8542",
+    (6, 6, True): "7fc8b9fdb09ac24c084d01b873a8fbd5126119c1e2af512d077fc8dd893fcc36",
+    (7, 2, False): "f88b4d146ef76f6c3e1ed52cdf64b0b7226a1eb1a1f6b53720530abcb8af9537",
+    (7, 2, True): "e994fe77c2ba8a3b438504b47f880f3d1de7529598b93df01a73678e58eaa9ea",
+    (7, 7, False): "0519ff42ad387e8f584b485c2333ab45d2dccca1c7beb740754f2daedb42589b",
+    (7, 7, True): "219c7a8da3c2ce34be3375fd205f79f08d044f0f1921673edd99f9d8e0f815a3",
 }
-# The same for encode(10, 1), whose names hold two-digit pinned positions and whose
-# clauses hold five-digit literals; too slow to parse back in every run.
-GOLDEN_DIMACS_N10_SHA256 = "1ea4d582ac5d9057383ca61147a98497ac3a6e134799311fc84d1118c9dc1825"
+# The same for encode(10, 1), whose clauses hold five-digit literals and whose pair
+# order crosses pinned positions of two digits; too slow to parse back in every run.
+GOLDEN_DIMACS_N10_SHA256 = "206e95d63b55c704bbc902f34de20630a277b044dae79128de0d237497c56c2b"
 
 # Pigeonhole 3 into 2 (variable 2*(i-1)+j: pigeon i in hole j), which is
 # unsatisfiable, plus the unit 7 and one clause of width 8 over all variables.
@@ -95,22 +95,16 @@ def test_encode_m2_counts():
     assert len(inst.clauses) == 74
 
 
-def _line_comment(line):
-    """The DIMACS comment that names a line, formatted from the line itself."""
-    runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(line.active))
-    return f"c line {runs} fixed=" + (",".join(f"{i}:{v}" for i, v in line.fixed) or "-")
-
-
 def _encode_reference(n, m, sym_break):
     """The clauses encode() must build and the DIMACS text write_dimacs() must
     give them, made line by line from the enumeration."""
     clauses, rows = [], []
     for line in enumerate_m_interval_lines(n, m):
         p, q, r = (rank(w) + 1 for w in line.points())
-        rows += [_line_comment(line), f"{p} {q} {r} 0", f"-{p} -{q} -{r} 0"]
+        rows += [f"{p} {q} {r} 0", f"-{p} -{q} -{r} 0"]
         clauses += [(p, q, r), (-p, -q, -r)]
     if sym_break:
-        rows += ["c symmetry-break rank0=0", "-1 0"]
+        rows.append("-1 0")
         clauses.append((-1,))
     head = [f"p cnf {3**n} {len(clauses)}", f"c hjinterval n={n} m={m} sym_break={int(sym_break)}"]
     return tuple(clauses), "\n".join(head + rows) + "\n"
@@ -135,13 +129,9 @@ def test_dimacs_bytes_are_pinned():
         assert parse_dimacs(text) == inst
 
 
-@pytest.fixture(scope="module")
-def dimacs_n10():
-    return write_dimacs(encode(10, 1))
-
-
-def test_dimacs_bytes_are_pinned_at_n10(dimacs_n10):
-    assert hashlib.sha256(dimacs_n10.encode("ascii")).hexdigest() == GOLDEN_DIMACS_N10_SHA256
+def test_dimacs_bytes_are_pinned_at_n10():
+    text = write_dimacs(encode(10, 1))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_DIMACS_N10_SHA256
 
 
 def test_clause_pairs_follow_member_table_rows():
@@ -250,22 +240,6 @@ def test_encode_largest_m_parses_back():
     assert np.array_equal(back.clauses, instance.clauses)
 
 
-def test_row_walk_names_the_line_at_each_row(dimacs_n10):
-    # the comment over clause pair k names the line of member-table row k, the line the pair
-    # encodes: at every row for n <= 5, at sampled rows (block ends among them) for n = 10
-    for n in range(1, 6):
-        for m in range(1, n + 1):
-            rows = write_dimacs(encode(n, m)).splitlines()[2:]
-            table = m_interval_line_members(n, m)
-            assert len(rows) == 3 * len(table)
-            assert rows[::3] == [_line_comment(line_of_members(n, members)) for members in table]
-    rows = dimacs_n10.splitlines()[2:]
-    table = m_interval_line_members(10, 1)
-    assert len(rows) == 3 * len(table)
-    for k in [0, 3**9 - 1, 3**9, len(table) - 1, *random.Random(10).sample(range(len(table)), 200)]:
-        assert rows[3 * k] == _line_comment(line_of_members(10, table[k])), k
-
-
 def test_dimacs_output_is_stable():
     inst = encode(3, sym_break=True)
     a = write_dimacs(inst)
@@ -285,15 +259,14 @@ def test_dimacs_roundtrip():
                 assert write_dimacs(parse_dimacs(text)) == text
 
 
-def test_dimacs_comments_carry_line_provenance():
-    text = write_dimacs(encode(2))
-    assert "c line 1..1 fixed=2:1" in text
-    assert "c line 1..2 fixed=-" in text
-    # line names come from the family, and only when the clauses can be its encoding
-    assert write_dimacs(CnfInstance(2, ((1, -2), (2, 0)))) == "p cnf 2 2\n1 -2 0\n2 0\n"
+def test_dimacs_family_header_is_the_one_comment():
+    # a family is named once, whatever the clause count; a formula without one gets no comment
     short = CnfInstance(9, encode(2).clauses[:-1], family=(2, 1, False))
-    assert "c line" not in write_dimacs(short)
-    assert write_dimacs(short).splitlines()[1] == "c hjinterval n=2 m=1 sym_break=0"
+    for instance in (encode(2), encode(3, m=2, sym_break=True), short):
+        comments = [row for row in write_dimacs(instance).splitlines() if row.startswith("c")]
+        n, m, sym_break = instance.family
+        assert comments == [f"c hjinterval n={n} m={m} sym_break={int(sym_break)}"]
+    assert write_dimacs(CnfInstance(2, ((1, -2), (2, 0)))) == "p cnf 2 2\n1 -2 0\n2 0\n"
 
 
 def test_parse_dimacs_rejects_malformed():
@@ -514,6 +487,27 @@ def test_instance_check_matches_a_per_row_reference(case):
         with pytest.raises(ValueError) as err:
             CnfInstance(n_vars, rows)
         assert str(err.value) == want
+
+
+def _instance_outcome(n_vars, rows):
+    """The clauses CnfInstance keeps, or the message it refuses them with."""
+    try:
+        instance = CnfInstance(n_vars, rows)
+    except ValueError as exc:
+        return str(exc)
+    assert instance.clauses.dtype == np.int32 and not np.shares_memory(instance.clauses, rows)
+    return instance.clauses.tolist()
+
+
+@pytest.mark.parametrize(
+    "dtype", [bool, np.int8, np.uint8, np.int16, np.int32, np.uint32, np.float64, object]
+)
+def test_instance_check_reads_every_dtype_as_int64(dtype):
+    # int32 and narrower arrays are checked as they are, wider ones widened to int64 first
+    for n_vars in (0, 1, 3, 200):
+        for row in ([1, -2, 0], [3, 0, 0], [0, 1, 0], [127, 0, 0], [-100, 0, 0], [255, 0, 0]):
+            rows = np.array([row]).astype(dtype)
+            assert _instance_outcome(n_vars, rows) == _instance_outcome(n_vars, rows.astype(np.int64))
 
 
 def test_solve_builtin_respects_sym_break():

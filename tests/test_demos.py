@@ -26,7 +26,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
         (
             "sat_frontier.py",
             [
-                "c line 1..1 fixed=-",
+                "c hjinterval n=1 m=1 sym_break=0",
                 "n=5: unsat",
                 "checked",
                 "74 clauses, sat, no monochromatic line in the decoded colouring",
