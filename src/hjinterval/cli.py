@@ -21,7 +21,6 @@ from .bounds import DEFAULT_CAP_DIGITS, tower
 from .cnf import (
     EncoderBugError,
     check_model,
-    decode_model,
     encode,
     parse_dimacs,
     run_solver,
@@ -194,14 +193,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 1
     try:
         # A family's model must also be complete and pass a direct scan of the family.
-        coloring = None if instance.family is None else decode_model(outcome.model, *instance.family[:2])
+        coloring = check_model(instance, outcome.model)
     except (EncoderBugError, ValueError) as exc:
-        reason = str(exc)
-    else:
-        reason = check_model(instance, outcome.model)
-    if reason is not None:
         print("verified=no")
-        print(f"diagnostics={culprit}: {reason}")
+        print(f"diagnostics={culprit}: {exc}")
         return 1
     model = "model=" + " ".join(map(str, outcome.model))
     print(model if coloring is None else f"coloring={coloring.bitstring}")

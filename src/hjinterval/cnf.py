@@ -13,8 +13,9 @@ again.  They can be fed to any external solver that takes a file
 path and prints the usual "s SATISFIABLE" / "v ..." lines, and the
 built-in CDCL solver of :mod:`hjinterval.solver`, which logs a DRUP proof
 of every unsat answer, decides the cubes this package cares about when no
-solver is installed.  A decoded model is checked by a scan that shares no
-table with encode.
+solver is installed.  :func:`check_model` reads a model's literals once,
+decodes a family's colouring and checks it by a scan that shares no table
+with encode, then checks every clause.
 """
 
 from __future__ import annotations
@@ -261,20 +262,21 @@ def _literal_values(model: Iterable[int], n_vars: int) -> np.ndarray:
     return value
 
 
-def check_model(instance: CnfInstance, model: Iterable[int]) -> str | None:
-    """None when the model makes every clause of the instance true, else the reason it
-    does not: a literal outside +-1..n_vars, a variable given both ways, or the first
-    clause with no true literal."""
-    try:
-        value = _literal_values(model, instance.n_vars)
-    except ValueError as exc:
-        return str(exc)
+def check_model(instance: CnfInstance, model: Iterable[int]) -> Coloring | None:
+    """Check that the model makes every clause of the instance true, reading its literals
+    once.  Returns the colouring of a family instance, decoded and scanned as by
+    :func:`decode_model` and with its refusals, in their order, before the clauses are
+    checked; None for an instance without a family.  Raises ValueError for a literal
+    outside +-1..n_vars, a variable given both ways, or the first clause with no true
+    literal."""
+    value = _literal_values(model, instance.n_vars)
+    coloring = None if instance.family is None else _decoded(value, *instance.family[:2])
     satisfied = value[instance.clauses].any(axis=1)  # padding reads value[0], never set
-    if satisfied.all():
-        return None
-    k = satisfied.argmin()
-    clause = [lit for lit in instance.clauses[k].tolist() if lit]
-    return f"clause {k + 1} ({' '.join(map(str, (*clause, 0)))}) has no true literal"
+    if not satisfied.all():
+        k = satisfied.argmin()
+        clause = [lit for lit in instance.clauses[k].tolist() if lit]
+        raise ValueError(f"clause {k + 1} ({' '.join(map(str, (*clause, 0)))}) has no true literal")
+    return coloring
 
 
 class EncoderBugError(RuntimeError):
@@ -291,8 +293,12 @@ def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
     monochromatic line means the solver or the encoder is broken, and
     silently shipping such a "witness" would poison everything downstream.
     """
+    return _decoded(_literal_values(model, 3**n), n, m)
+
+
+def _decoded(value: np.ndarray, n: int, m: int) -> Coloring:
+    """:func:`decode_model` of the model that :func:`_literal_values` read into ``value``."""
     size = 3**n
-    value = _literal_values(model, size)
     bits = value[1 : size + 1]
     assigned = bits | value[:size:-1]
     if not assigned.all():

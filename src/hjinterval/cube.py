@@ -7,9 +7,10 @@ same moving letter 1, 2, 3.  The interesting lines here are the ones
 whose active set is a single contiguous interval (or a union of at most
 m intervals); this module provides the bookkeeping everything else
 builds on: ranking, the line table, one scan of the cube that yields the
-monochromatic lines block by block in the table's row order (for the first
-hit or the count), colouring storage, the symmetry group that respects
-interval lines, and the file format.
+monochromatic lines block by block (for the first hit or the count),
+colouring storage, the symmetry group that respects interval lines, and
+the file format.  The table's rows and the scan's masks are the cells of
+the same views of the cube, so they come in one order.
 """
 
 from __future__ import annotations
@@ -183,37 +184,23 @@ def m_interval_active_sets(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 def m_interval_line_members(n: int, m: int) -> np.ndarray:
     """Ranks of the three points of every line with at most m runs, one line per row.
 
-    Lines come by active set, in the order of :func:`m_interval_active_sets`,
-    then by the rank of their pinned letters read in increasing coordinate
-    order as base-3 digits, the last pinned coordinate fastest.  With m = 1
-    these are the interval lines, with m = n every combinatorial line of the
-    cube.  A row is the rank of the pinned letters (moving letter 1) plus v
-    times the summed weight 3**(n-i) of the active coordinates i, v = 0, 1, 2.
-    Cached because the table feeds encoding and local search, which one process
-    may run many times, and read-only because every caller shares it.
+    One rule orders the rows: for each active set of :func:`m_interval_active_sets`,
+    the cells, in C order, of the three views of the rank cube that fix the active
+    coordinates to letters 1, 2 and 3 are one block's columns, the views that
+    :func:`mono_masks` reads colours through.  With m = 1 these are the interval
+    lines, with m = n every combinatorial line of the cube.  Cached because the
+    table feeds encoding and local search, which one process may run many times,
+    and read-only because every caller shares it.
     """
     actives = m_interval_active_sets(n, m)
-    steps = np.arange(3, dtype=np.int64)
-    # Ranks of the letters at pinned positions of the given weights, the last one fastest;
-    # each table is one broadcast of the table of its prefix, and blocks share prefixes.
-    ranks = {(): np.zeros(1, dtype=np.int64)}
-
-    def ranks_of(weights: tuple[int, ...]) -> np.ndarray:
-        if weights not in ranks:
-            ranks[weights] = (ranks_of(weights[:-1])[:, None] + steps * weights[-1]).ravel()
-        return ranks[weights]
-
+    cube = np.arange(3**n, dtype=np.int64).reshape((3,) * n)
     out = np.empty((sum(3 ** (n - len(a)) for a in actives), 3), dtype=np.int64)
     start = 0
     for active in actives:
-        weights = tuple(3 ** (n - i) for i in range(1, n + 1) if i not in active)
-        # A block is one outer sum of the ranks of the first half of the pinned letters,
-        # those of the second half and the moving letter's steps along the active weight.
-        h = len(weights) // 2
-        high, low = ranks_of(weights[:h]), ranks_of(weights[h:])
-        low = low[:, None] + steps * sum(3 ** (n - i) for i in active)
-        stop = start + 3 ** len(weights)
-        np.add(high[:, None, None], low, out=out[start:stop].reshape(len(high), len(low), 3))
+        stop = start + 3 ** (n - len(active))
+        for v in range(3):
+            view = cube[tuple(v if i in active else slice(None) for i in range(1, n + 1))]
+            out[start:stop, v] = view.ravel()
         start = stop
     out.setflags(write=False)
     return out
@@ -393,9 +380,9 @@ def apply_symmetry(coloring: Coloring, g: Symmetry) -> Coloring:
 #
 # Line 1: "HJC 3 <n>".  Line 2: exactly 3^n characters from {0,1}, position i
 # holding the colour of the word of rank i.  Trailing newline optional, any
-# other byte is an error.  A file is read as bytes, once, into a uint8 array
-# whose body becomes the colouring's cells in place; text takes the same parser,
-# one byte per character.  Saving writes the header and then the cells plus
+# other byte is an error.  A file is read as bytes, once, into a bytearray
+# whose body becomes the colouring's cells in place; text is encoded as UTF-8
+# and takes the same parser.  Saving writes the header and then the cells plus
 # ord("0") straight from the array.
 
 
@@ -409,26 +396,23 @@ def coloring_to_text(coloring: Coloring) -> str:
     return f"HJC 3 {coloring.n}\n{coloring.bitstring}\n"
 
 
-def _parse_coloring(buf: np.ndarray, text: str | None = None) -> Coloring:
-    """The colouring that the format's bytes in ``buf``, a writable uint8 array, spell; the
-    body becomes its cells in place.  ``buf`` holds a file's bytes, which must be ASCII, or
-    ``text`` one byte per character, and then the messages quote ``text``.  Refusals come
-    in this order: a non-ASCII byte of a file, the header, the dimension, the length and
-    the first bad colour byte."""
-    if text is None and buf.size and buf.max() > 127:
-        buf.tobytes().decode("ascii")  # raises, naming the first non-ASCII byte and its position
-    # A good header line is at most 24 bytes; only a bad one is looked for past 64.
-    nl = buf[:64].tobytes().find(b"\n")
-    if nl < 0 and (nl := buf.tobytes().find(b"\n")) < 0:
+def _parse_coloring(buf: bytearray) -> Coloring:
+    """The colouring that the format's bytes in ``buf`` spell; the body becomes its cells
+    in place.  Refusals come in this order: a non-ASCII byte, the header, the dimension,
+    the length and the first bad colour byte."""
+    if not buf.isascii():
+        buf.decode("ascii")  # raises, naming the first non-ASCII byte and its position
+    nl = buf.find(b"\n")
+    if nl < 0:
         raise ValueError("colouring file needs a header line 'HJC 3 <n>'")
-    head = buf[:nl].tobytes().decode("ascii") if text is None else text[:nl]
+    head = buf[:nl].decode("ascii")
     parts = head.split(" ")
     if len(parts) != 3 or parts[0] != "HJC" or parts[1] != "3" or not is_count(parts[2]):
         raise ValueError(f"bad colouring header {head!r}")
     n = int(parts[2])
     if n < 1:
         raise ValueError(f"bad dimension {n} in colouring header")
-    body = buf[nl + 1 :]
+    body = np.frombuffer(buf, np.uint8)[nl + 1 :]
     if body.size and body[-1] == ord("\n"):
         body = body[:-1]
     # 3**n > 2**n, so an n past the bit length of the body is refused without the power.
@@ -437,14 +421,12 @@ def _parse_coloring(buf: np.ndarray, text: str | None = None) -> Coloring:
     body -= ord("0")  # "0" and "1" become colours; every other byte, wrapping, exceeds 1
     if body.max() > 1:
         pos = (body > 1).argmax()
-        bad = chr((int(body[pos]) + ord("0")) % 256) if text is None else text[nl + 1 + pos]
-        raise ValueError(f"bad colour byte {bad!r} at position {pos}")
+        raise ValueError(f"bad colour byte {chr((int(body[pos]) + ord('0')) % 256)!r} at position {pos}")
     return Coloring._adopt(n, body)
 
 
 def coloring_from_text(text: str) -> Coloring:
-    # Latin-1 keeps one byte per character; anything beyond it becomes "?", a bad byte.
-    return _parse_coloring(np.frombuffer(bytearray(text.encode("latin-1", "replace")), np.uint8), text)
+    return _parse_coloring(bytearray(text.encode()))
 
 
 def save_coloring(coloring: Coloring, path: str) -> None:
@@ -459,4 +441,4 @@ def load_coloring(path: str) -> Coloring:
         buf = bytearray(os.fstat(fh.fileno()).st_size)  # 0 bytes for a pipe
         del buf[fh.readinto(buf) :]
         buf += fh.read()  # what a pipe holds, or a file that grew
-    return _parse_coloring(np.frombuffer(buf, np.uint8))
+    return _parse_coloring(buf)

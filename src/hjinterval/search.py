@@ -11,13 +11,15 @@ scores of its cell's neighbours (the other members of the lines through
 it), each by +1 or -1 as that neighbour does or does not share the
 flipped cell's old colour.  Only the cells whose flip adds no violation
 are filed, in one ascending list per score, so the best flip needs no
-scan and a sideways pick needs no sort.  Restarts may run in forked
-workers, read in seed order, so the report does not depend on the worker
-count.  The encoding and the descent read the member table; a reported
-colouring is checked by the cube scan of
-:func:`~hjinterval.cube.mono_masks`, which does not: each SAT model is
-decoded and scanned by :func:`~hjinterval.cnf.decode_model`, and a local
-search's count comes from the scan.
+scan and a sideways pick needs no sort.  Restarts run in one loop, in
+this process and in the workers it forks (none for one job), and are read
+in seed order, so the report does not depend on the worker count.  The
+encoding and the descent read the member table; a reported colouring is
+checked by the cube scan of :func:`~hjinterval.cube.mono_masks`, which
+does not: each SAT model is decoded, scanned and checked against every
+clause it was solved under, unit clauses included, by
+:func:`~hjinterval.cnf.check_model`, and a local search's count comes
+from the scan.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cnf import CnfInstance, decode_model, encode, solve_builtin
+from .cnf import CnfInstance, check_model, encode, solve_builtin
 from .cube import Coloring, interval_line_members, mono_masks
 from .drup import check_proof
 
@@ -89,9 +91,10 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
     current model colours 1 is asked again with the cells before it fixed
     and itself at 0: a model replaces the current one, UNSAT fixes it at 1.
     Every UNSAT answer counts only once :func:`check_proof` accepts its
-    proof, and every model is decoded by :func:`decode_model`, whose scan
-    of the cube raises :class:`~hjinterval.cnf.EncoderBugError` on a model
-    with a monochromatic line.  use_symmetry adds the colour-swap unit of
+    proof, and every model must pass :func:`check_model`, whose scan of the
+    cube raises :class:`~hjinterval.cnf.EncoderBugError` on a model with a
+    monochromatic line; a model that breaks a clause, a unit clause
+    included, raises RuntimeError.  use_symmetry adds the colour-swap unit of
     :func:`encode`; the answer is the same either way, as the swap maps an
     avoider that starts with 1 to a smaller one.
     """
@@ -105,11 +108,14 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
         """A model of the formula with these unit clauses added, decoded, or None."""
         rows = np.zeros((len(units), base.clauses.shape[1]), dtype=np.int32)
         rows[:, 0] = units
-        formula = CnfInstance(base.n_vars, np.vstack((base.clauses, rows)))
+        formula = CnfInstance(base.n_vars, np.vstack((base.clauses, rows)), base.family)
         outcome = solve_builtin(formula)
         stats["solves"] += 1
         if outcome.status == "sat":
-            return decode_model(outcome.model, n)
+            try:
+                return check_model(formula, outcome.model)
+            except ValueError as exc:
+                raise RuntimeError(f"internal error: the built-in solver's model fails: {exc}") from None
         reason = check_proof(formula.clause_tuples(), outcome.proof)
         if reason is not None:
             raise RuntimeError(f"internal error: the built-in solver's refutation fails: {reason}")
@@ -237,14 +243,11 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
 
 
 def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: int) -> Iterator:
-    """Each restart's result, in seed order.  With workers > 1 and ``os.fork``, workers - 1
-    children forked after the line tables are built inherit them; worker w (0 is this
+    """Each restart's result, in seed order.  Workers - 1 children, none for one worker,
+    are forked after the line tables are built and inherit them; worker w (0 is this
     process) runs restarts k = w mod workers from its own copy of the seeds, and a child
     pickles each result down its pipe, or the type and message of the exception that
     stopped it and exits 1.  Closing kills and reaps the children."""
-    if workers == 1 or not hasattr(os, "fork"):
-        yield from (_one_restart(n, s, per_restart) for s in seeds)
-        return
     _neighbours(n)
     children = []  # (pid, read end) of workers 1..workers-1
     try:
@@ -319,7 +322,8 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
     seeds = (
         (seed * 0x9E3779B97F4A7C15 + k * 0xBF58476D1CE4E5B9 + 1) % 2**63 for k in range(restarts)
     )
-    results = _restart_results(n, per_restart, seeds, min(jobs, restarts, os.cpu_count() or 1))
+    workers = min(jobs, restarts, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    results = _restart_results(n, per_restart, seeds, workers)
     used = []
     try:
         for result in results:

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from hjinterval import cli, gadgets
+from hjinterval import cli, cnf, gadgets
 from hjinterval.cli import build_parser, main
 from hjinterval.cnf import (
+    CnfInstance,
     SolveOutcome,
+    check_model,
+    decode_model,
     encode,
     parse_dimacs,
     solve_builtin,
@@ -464,6 +467,23 @@ def test_solve_without_family_header_prints_raw_model(tmp_path, capsys):
     assert code == 0
     assert "model=" in out and "verified=yes\n" in out
     assert "coloring=" not in out and "verified=no" not in out
+
+
+def test_solve_reads_a_family_model_once(tmp_path, capsys, monkeypatch):
+    cnf_path = tmp_path / "n2.cnf"
+    run_cli(capsys, "encode", "--n", "2", "--out", str(cnf_path))
+    calls, read = [], cnf._literal_values
+    monkeypatch.setattr(cnf, "_literal_values", lambda *args: calls.append(args) or read(*args))
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
+    assert (code, len(calls)) == (0, 1)
+    assert out.endswith("verified=yes\n")
+    # The one check decodes a family instance's model and leaves a plain one's undecoded.
+    instance = encode(2)
+    model = solve_builtin(instance).model
+    assert check_model(instance, model) == decode_model(model, 2)
+    assert check_model(CnfInstance(instance.n_vars, instance.clauses), model) is None
+    with pytest.raises(ValueError, match="incomplete model: variable 2 of 3 unassigned"):
+        check_model(encode(1), [3, 1])
 
 
 PLAIN_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"

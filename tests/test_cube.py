@@ -434,8 +434,8 @@ def test_coloring_text_roundtrip():
     assert coloring_from_text(text) == c
 
 
-def refusals(text: str, path) -> tuple[str, str]:
-    """The messages with which coloring_from_text refuses the text, and load_coloring
+def refusal(text: str, path) -> str:
+    """The one message with which both coloring_from_text refuses the text and load_coloring
     the file at path that holds the text as UTF-8."""
     path.write_bytes(text.encode())
     messages = []
@@ -443,17 +443,13 @@ def refusals(text: str, path) -> tuple[str, str]:
         with pytest.raises(ValueError) as err:
             read()
         messages.append(str(err.value))
-    return messages[0], messages[1]
+    assert messages[0] == messages[1]
+    return messages[0]
 
 
-def file_refusal(text: str, message: str) -> str:
-    """What load_coloring says of a UTF-8 file holding text that coloring_from_text refuses
-    with the message: a file's first non-ASCII byte is refused before anything else."""
-    data = text.encode()
-    pos = next((i for i, byte in enumerate(data) if byte > 127), None)
-    if pos is None:
-        return message
-    return f"'ascii' codec can't decode byte {data[pos]:#x} in position {pos}: ordinal not in range(128)"
+def codec_refusal(byte: int, pos: int) -> str:
+    """The message for a non-ASCII byte at a position of a file or of text, refused first."""
+    return f"'ascii' codec can't decode byte {byte:#x} in position {pos}: ordinal not in range(128)"
 
 
 def test_coloring_text_rejects_malformed(tmp_path):
@@ -466,35 +462,37 @@ def test_coloring_text_rejects_malformed(tmp_path):
         "HJC 3 2\n" + "0" * 7 + "\u00e91",
         "HJC 3 0\n",
     ):
-        from_text, from_file = refusals(bad, tmp_path / "c.hjc")
-        assert from_file == file_refusal(bad, from_text)
+        refusal(bad, tmp_path / "c.hjc")
 
 
 def test_coloring_text_refuses_huge_n_by_its_size(tmp_path):
     # 3**n is never built for an n the body cannot hold
     message = "expected 3**1000000 colour characters for n=1000000, got 9"
-    assert refusals("HJC 3 1000000\n" + "0" * 9 + "\n", tmp_path / "c.hjc") == (message, message)
+    assert refusal("HJC 3 1000000\n" + "0" * 9 + "\n", tmp_path / "c.hjc") == message
 
 
 @pytest.mark.parametrize("n", ["\u00b2", "\u0663", "1" * 5000])
 def test_coloring_header_refuses_numbers_before_int(n, tmp_path):
-    # int() fails on the superscript and on 5000 digits, and reads the Arabic-Indic 3 as 3
+    # int() fails on the superscript and on 5000 digits, and reads the Arabic-Indic 3 as 3;
+    # the two non-ASCII digits are refused by their first UTF-8 byte, before the header is read
     text = f"HJC 3 {n}\n" + "0" * 27 + "\n"
-    message = f"bad colouring header {'HJC 3 ' + n!r}"
-    assert refusals(text, tmp_path / "c.hjc") == (message, file_refusal(text, message))
+    message = {
+        "\u00b2": codec_refusal(0xC2, 6),
+        "\u0663": codec_refusal(0xD9, 6),
+    }.get(n, f"bad colouring header {'HJC 3 ' + n!r}")
+    assert refusal(text, tmp_path / "c.hjc") == message
 
 
 def test_coloring_text_error_names_first_bad_character(tmp_path):
-    for body, ch, pos in (
-        ("01/" + "0" * 6, "/", 2),
-        ("0" * 4 + "\u00e9" + "2" + "0" * 3, "\u00e9", 4),
-        ("0" * 5 + "\u2603" + "0" * 3, "\u2603", 5),
-        ("0" * 8 + "\x00", "\x00", 8),
-        ("0" * 3 + "2" + "\x7f" + "0" * 4, "2", 3),
+    # A non-ASCII character is refused by its first UTF-8 byte, at its place in the text.
+    for body, message in (
+        ("01/" + "0" * 6, "bad colour byte '/' at position 2"),
+        ("0" * 4 + "\u00e9" + "2" + "0" * 3, codec_refusal(0xC3, 12)),
+        ("0" * 5 + "\u2603" + "0" * 3, codec_refusal(0xE2, 13)),
+        ("0" * 8 + "\x00", "bad colour byte '\\x00' at position 8"),
+        ("0" * 3 + "2" + "\x7f" + "0" * 4, "bad colour byte '2' at position 3"),
     ):
-        text = f"HJC 3 2\n{body}\n"
-        message = f"bad colour byte {ch!r} at position {pos}"
-        assert refusals(text, tmp_path / "c.hjc") == (message, file_refusal(text, message))
+        assert refusal(f"HJC 3 2\n{body}\n", tmp_path / "c.hjc") == message
 
 
 def test_coloring_file_line_ends(tmp_path):
@@ -504,7 +502,7 @@ def test_coloring_file_line_ends(tmp_path):
         ("HJC 3 1\r\n010\r\n", "bad colouring header 'HJC 3 1\\r'"),
         ("HJC 3 1\n010\r\n", "expected 3**1 colour characters for n=1, got 4"),
     ):
-        assert refusals(text, tmp_path / "c.hjc") == (message, message)
+        assert refusal(text, tmp_path / "c.hjc") == message
     path = tmp_path / "short.hjc"
     path.write_bytes(b"HJC 3 1\n010")
     assert load_coloring(str(path)) == coloring_from_text("HJC 3 1\n010") == coloring_from_bits(1, [0, 1, 0])

@@ -144,6 +144,23 @@ def test_exhaustive_rejects_a_proof_that_does_not_check(monkeypatch):
         exhaustive_search(2)
 
 
+def test_exhaustive_checks_each_model_against_its_unit_clauses(monkeypatch):
+    # A stand-in solver that answers every formula with its first model, whatever unit
+    # clauses were added: a search that only scanned the models reported the avoider
+    # 001011110001110110110100001 as the least, not 001010100001100011110001011.
+    first = []
+
+    def stale(instance):
+        if not first:
+            first.append(cnf.solve_builtin(instance))
+        return first[0]
+
+    monkeypatch.setattr(search, "solve_builtin", stale)
+    unit = r"internal error: the built-in solver's model fails: clause 72 \(-3 0\) has no true literal"
+    with pytest.raises(RuntimeError, match=unit):
+        exhaustive_search(3)
+
+
 @pytest.fixture
 def table_without_last_row(monkeypatch):
     """The member table that the encoder and the local search read loses its last row,
