@@ -58,6 +58,10 @@ class CnfInstance:
             rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
             raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
+        # check_model decodes a family's 3**n variables; 3**n > 2**n, as in parse_dimacs.
+        n = self.family[0] if self.family else 0
+        if n and (n > self.n_vars.bit_length() or 3**n != self.n_vars):
+            raise ValueError(f"a family of n={n} needs 3**{n} variables, not {self.n_vars}")
         # Clause k is well formed when it starts with a literal and no literal follows a 0.
         # Whole-array tests first: numpy reduces a short row many times slower.
         live = rows != 0

@@ -431,6 +431,13 @@ def test_instance_checks_the_clause_array(rows, message):
         CnfInstance(n_vars=2, clauses=rows)
 
 
+def test_instance_family_needs_its_cube_of_variables():
+    # check_model decodes a family's model into the 3**n cells of its cube
+    for n_vars, n in ((5, 1), (27, 2), (9, 10**18)):
+        with pytest.raises(ValueError, match=re.escape(f"a family of n={n} needs 3**{n} variables, not {n_vars}")):
+            CnfInstance(n_vars, [[1]], family=(n, 1, False))
+
+
 def test_instance_refuses_non_integral_literals():
     with pytest.raises(ValueError, match=re.escape("literal 1.5 is not an integer in the int64 range")):
         CnfInstance(2, [[1.5, -2.7]])
