@@ -26,8 +26,6 @@ from .cube import (
     Word,
     all_symmetries,
     apply_symmetry,
-    coloring_from_text,
-    coloring_to_text,
     first_mono_line,
     interval_line,
     is_monochromatic,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 import time
 from typing import Sequence
@@ -45,8 +44,6 @@ from .search import (
     local_search,
     render_search_report,
 )
-
-SOLVER_ENV = "HJ_SOLVER"
 
 
 def _parse_quadruple(text: str) -> tuple[int, int, int, int]:
@@ -156,11 +153,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     with open(args.cnf, "rb") as fh:
         instance = parse_dimacs(fh.read().decode("ascii"))
-    command = args.solver or os.environ.get(SOLVER_ENV)
     deadline = None if args.timeout is None else time.monotonic() + args.timeout
-    if command:
-        outcome = run_solver(args.cnf, command, timeout=args.timeout)
-        print(f"solver={command}")
+    if args.solver:
+        outcome = run_solver(args.cnf, args.solver, timeout=args.timeout)
+        print(f"solver={args.solver}")
         culprit = "the external solver's model is wrong"
     else:
         outcome = solve_builtin(instance, timeout=args.timeout)
@@ -169,7 +165,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         culprit = "the built-in solver is at fault"
         if instance.family is not None:
             culprit = "the encoder or the built-in solver is at fault"
-    if outcome.status == "unsat" and command:
+    if outcome.status == "unsat" and args.solver:
         # An external solver's refutation comes without a proof to check.
         print("status=unsat-unverified")
         print(
@@ -288,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a SAT solver on a CNF file and decode the model")
     p.add_argument("--cnf", required=True)
-    p.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV}, else built-in CDCL)")
+    p.add_argument("--solver", help="solver command (default: the built-in CDCL)")
     p.add_argument("--timeout", type=timeout, help="seconds before giving up with status=unknown")
     p.set_defaults(func=cmd_solve)
 

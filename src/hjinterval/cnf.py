@@ -13,9 +13,10 @@ again.  They can be fed to any external solver that takes a file
 path and prints the usual "s SATISFIABLE" / "v ..." lines, and the
 built-in CDCL solver of :mod:`hjinterval.solver`, which logs a DRUP proof
 of every unsat answer, decides the cubes this package cares about when no
-solver is installed.  :func:`check_model` reads a model's literals once,
-decodes a family's colouring and checks it by a scan that shares no table
-with encode, then checks every clause.
+solver is installed.  :func:`check_model` is the one model check: it reads a
+model's literals once, decodes a family's colouring and checks it by a scan
+that shares no table with encode, then checks every clause;
+:func:`decode_model` is that check of a model of ``encode(n, m)``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class CnfInstance:
             rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
             raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
-        # check_model decodes a family's 3**n variables; 3**n > 2**n, as in parse_dimacs.
+        # check_model decodes a family's 3**n variables; 3**n > 2**n, so an n past the
+        # bit length of n_vars is refused without the power.
         n = self.family[0] if self.family else 0
         if n and (n > self.n_vars.bit_length() or 3**n != self.n_vars):
             raise ValueError(f"a family of n={n} needs 3**{n} variables, not {self.n_vars}")
@@ -183,21 +185,17 @@ def parse_dimacs(text: str) -> CnfInstance:
     rows = np.zeros((len(ends), sizes.max(initial=1)), dtype=np.int64)
     rows[np.arange(rows.shape[1]) < sizes[:, None]] = lits
     rows = rows[:, :-1]
+    instance = CnfInstance(n_vars, rows, family)  # refuses a family's wrong variable count
     if family is not None:
         n, m, sym_break = family
-        # 3**n > 2**n, so an n past the bit length of n_vars is refused without the power.
-        if n > n_vars.bit_length() or 3**n != n_vars:
-            raise ValueError(
-                f"{_HEADER_TAG} header says n={n}, but the file has {n_vars} variables"
-            )
         # Every family holds the 3**(n-1) lines with active set {1}: a file with fewer
         # clause pairs is refused before encode builds the family's table.
-        if len(rows) < 2 * 3 ** (n - 1) or not np.array_equal(rows, encode(*family).clauses):
+        if len(rows) < 2 * 3 ** (n - 1) or instance != encode(*family):
             raise ValueError(
                 f"the clauses are not the encoding of n={n} m={m} sym_break={int(sym_break)} "
                 f"that the {_HEADER_TAG} header names"
             )
-    return CnfInstance(n_vars, rows, family)
+    return instance
 
 
 def write_dimacs_file(instance: CnfInstance, path: str) -> None:
@@ -214,7 +212,8 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
     """
     argv = shlex.split(command) + [cnf_path]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+        # A byte that is not UTF-8 reads as U+FFFD, which no verdict or literal matches.
+        proc = subprocess.run(argv, capture_output=True, encoding="utf-8", errors="replace", timeout=timeout)
     except subprocess.TimeoutExpired:
         return SolveOutcome("unknown", diagnostics=f"solver timed out after {timeout}s")
     except OSError as exc:
@@ -266,15 +265,32 @@ def _literal_values(model: Iterable[int], n_vars: int) -> np.ndarray:
     return value
 
 
+class EncoderBugError(RuntimeError):
+    """A decoded model fails direct verification against the encoded family:
+    the solver that produced it, or the encoder, is wrong."""
+
+
 def check_model(instance: CnfInstance, model: Iterable[int]) -> Coloring | None:
     """Check that the model makes every clause of the instance true, reading its literals
-    once.  Returns the colouring of a family instance, decoded and scanned as by
-    :func:`decode_model` and with its refusals, in their order, before the clauses are
-    checked; None for an instance without a family.  Raises ValueError for a literal
-    outside +-1..n_vars, a variable given both ways, or the first clause with no true
-    literal."""
-    value = _literal_values(model, instance.n_vars)
-    coloring = None if instance.family is None else _decoded(value, *instance.family[:2])
+    once.  Raises ValueError for a literal outside +-1..n_vars or a variable given both
+    ways.  A family instance's model must then assign every variable, or ValueError, and
+    its colouring must pass a direct scan of the family, or EncoderBugError: the scan reads
+    the cube, not the encoder's member table, so a line missing there is still caught.
+    Last comes ValueError for the first clause with no true literal.  Returns the family's
+    colouring, None for an instance without a family."""
+    size = instance.n_vars
+    value = _literal_values(model, size)
+    coloring = None
+    if instance.family is not None:
+        n, m, _ = instance.family
+        bits = value[1 : size + 1]
+        assigned = bits | value[:size:-1]
+        if not assigned.all():
+            raise ValueError(f"incomplete model: variable {assigned.argmin() + 1} of {size} unassigned")
+        coloring = Coloring._adopt(n, bits.astype(np.uint8))
+        line = first_mono_line(coloring.bits, n, m)
+        if line is not None:
+            raise EncoderBugError(f"decoded model leaves {line_name(line)} monochromatic")
     satisfied = value[instance.clauses].any(axis=1)  # padding reads value[0], never set
     if not satisfied.all():
         k = satisfied.argmin()
@@ -283,32 +299,11 @@ def check_model(instance: CnfInstance, model: Iterable[int]) -> Coloring | None:
     return coloring
 
 
-class EncoderBugError(RuntimeError):
-    """A decoded model fails direct verification against the encoded family:
-    the solver that produced it, or the encoder, is wrong."""
-
-
 def decode_model(model: Iterable[int], n: int, m: int = 1) -> Coloring:
-    """Turn a model into a colouring and verify it against a direct scan.
+    """The colouring of a model of ``encode(n, m)``, checked by :func:`check_model`.
 
-    The model must assign every variable 1..3**n and no other.  The scan reads the cube,
-    not the encoder's member table, so a line missing there is still caught.
     Verification failure does not return: a model that still contains a
     monochromatic line means the solver or the encoder is broken, and
     silently shipping such a "witness" would poison everything downstream.
     """
-    return _decoded(_literal_values(model, 3**n), n, m)
-
-
-def _decoded(value: np.ndarray, n: int, m: int) -> Coloring:
-    """:func:`decode_model` of the model that :func:`_literal_values` read into ``value``."""
-    size = 3**n
-    bits = value[1 : size + 1]
-    assigned = bits | value[:size:-1]
-    if not assigned.all():
-        raise ValueError(f"incomplete model: variable {assigned.argmin() + 1} of {size} unassigned")
-    coloring = Coloring._adopt(n, bits.astype(np.uint8))
-    line = first_mono_line(coloring.bits, n, m)
-    if line is not None:
-        raise EncoderBugError(f"decoded model leaves {line_name(line)} monochromatic")
-    return coloring
+    return check_model(encode(n, m), model)

@@ -9,8 +9,9 @@ m intervals); this module provides the bookkeeping everything else
 builds on: ranking, the line table, one scan of the cube that yields the
 monochromatic lines block by block (for the first hit or the count),
 colouring storage, the symmetry group that respects interval lines, and
-the file format.  The table's rows and the scan's masks are the cells of
-the same views of the cube, so they come in one order.
+the file format, the one way colourings are written and read.  The
+table's rows and the scan's masks are the cells of the same views of the
+cube, so they come in one order.
 """
 
 from __future__ import annotations
@@ -381,9 +382,8 @@ def apply_symmetry(coloring: Coloring, g: Symmetry) -> Coloring:
 # Line 1: "HJC 3 <n>".  Line 2: exactly 3^n characters from {0,1}, position i
 # holding the colour of the word of rank i.  Trailing newline optional, any
 # other byte is an error.  A file is read as bytes, once, into a bytearray
-# whose body becomes the colouring's cells in place; text is encoded as UTF-8
-# and takes the same parser.  Saving writes the header and then the cells plus
-# ord("0") straight from the array.
+# whose body becomes the colouring's cells in place.  Saving writes the header
+# and then the cells plus ord("0") straight from the array.
 
 
 def is_count(text: str) -> bool:
@@ -392,14 +392,20 @@ def is_count(text: str) -> bool:
     return text.isascii() and text.isdigit() and len(text) <= 18
 
 
-def coloring_to_text(coloring: Coloring) -> str:
-    return f"HJC 3 {coloring.n}\n{coloring.bitstring}\n"
+def save_coloring(coloring: Coloring, path: str) -> None:
+    with open(path, "wb") as fh:
+        fh.write(f"HJC 3 {coloring.n}\n".encode("ascii"))
+        fh.write(coloring.bits + ord("0"))
+        fh.write(b"\n")
 
 
-def _parse_coloring(buf: bytearray) -> Coloring:
-    """The colouring that the format's bytes in ``buf`` spell; the body becomes its cells
-    in place.  Refusals come in this order: a non-ASCII byte, the header, the dimension,
-    the length and the first bad colour byte."""
+def load_coloring(path: str) -> Coloring:
+    """The colouring the file spells.  Refusals come in this order: a non-ASCII byte, the
+    header, the dimension, the length and the first bad colour byte."""
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)  # 0 bytes for a pipe
+        del buf[fh.readinto(buf) :]
+        buf += fh.read()  # what a pipe holds, or a file that grew
     if not buf.isascii():
         buf.decode("ascii")  # raises, naming the first non-ASCII byte and its position
     nl = buf.find(b"\n")
@@ -423,22 +429,3 @@ def _parse_coloring(buf: bytearray) -> Coloring:
         pos = (body > 1).argmax()
         raise ValueError(f"bad colour byte {chr((int(body[pos]) + ord('0')) % 256)!r} at position {pos}")
     return Coloring._adopt(n, body)
-
-
-def coloring_from_text(text: str) -> Coloring:
-    return _parse_coloring(bytearray(text.encode()))
-
-
-def save_coloring(coloring: Coloring, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(f"HJC 3 {coloring.n}\n".encode("ascii"))
-        fh.write(coloring.bits + ord("0"))
-        fh.write(b"\n")
-
-
-def load_coloring(path: str) -> Coloring:
-    with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)  # 0 bytes for a pipe
-        del buf[fh.readinto(buf) :]
-        buf += fh.read()  # what a pipe holds, or a file that grew
-    return _parse_coloring(buf)

@@ -22,7 +22,7 @@ from hjinterval.cnf import (
     write_dimacs,
     write_dimacs_file,
 )
-from hjinterval.cube import Coloring, coloring_to_text, load_coloring
+from hjinterval.cube import Coloring, load_coloring, save_coloring
 from hjinterval.gadgets import find_interval_line, pattern_coloring, render_certificate
 from hjinterval.search import exhaustive_search, violation_count
 
@@ -267,7 +267,8 @@ def test_file_io_never_looks_up_the_ascii_codec(tmp_path, child_env):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "c.hjc").read_bytes() == coloring_to_text(Coloring.random(3, 0)).encode()
+    save_coloring(Coloring.random(3, 0), str(tmp_path / "expected.hjc"))
+    assert (tmp_path / "c.hjc").read_bytes() == (tmp_path / "expected.hjc").read_bytes()
     assert (tmp_path / "e.cnf").read_bytes() == write_dimacs(encode(2)).encode()
     assert (tmp_path / "cert.txt").read_bytes() in proc.stdout
 
@@ -562,20 +563,23 @@ def test_solve_external_solver_flag(tmp_path, capsys, toy_solver):
     assert "verified=yes" in out
 
 
-def test_solve_honors_env_solver(tmp_path, capsys, monkeypatch, toy_solver):
+def test_solve_ignores_env_solver(tmp_path, capsys, monkeypatch):
+    # only --solver names an external solver: the environment cannot change the answer
     cnf_path = tmp_path / "n2.cnf"
     write_dimacs_file(encode(2), str(cnf_path))
-    monkeypatch.setenv("HJ_SOLVER", toy_solver)
+    monkeypatch.setenv("HJ_SOLVER", "no-such-solver-binary")
     code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path))
     assert code == 0
-    assert f"solver={toy_solver}" in out
+    assert "solver=builtin-cdcl" in out
+    assert "verified=yes" in out
 
 
 def test_solve_unknown_is_inconclusive(tmp_path, capsys, solver_factory):
     cnf_path = tmp_path / "n1.cnf"
     write_dimacs_file(encode(1), str(cnf_path))
     garbled = solver_factory('print("s SATISFIABLE")\nprint("v 1 -2 x 0")\n')
-    for solver in ("missing-binary", garbled):
+    not_utf8 = solver_factory('sys.stdout.buffer.write(b"s SATISFIABLE\\nv 1 \\377 0\\n")\n')
+    for solver in ("missing-binary", not_utf8, garbled):
         code, out, err = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", solver)
         assert code == 1
         assert err == ""

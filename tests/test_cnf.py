@@ -151,6 +151,9 @@ def test_dimacs_header_names_the_encoded_family():
     assert parse_dimacs(text).family == (3, 2, True)
     assert parse_dimacs(write_dimacs(encode(2))).family == (2, 1, False)
     assert parse_dimacs("p cnf 2 1\n1 2 0\n").family is None
+    # blank and whitespace-only lines, after the header and between clauses, are skipped
+    spaced = write_dimacs(encode(2)).replace("=0\n", "=0\n\n").replace(" 0\n", " 0\n \t\n")
+    assert parse_dimacs(spaced) == encode(2)
 
 
 def test_parse_dimacs_rejects_bad_family_header():
@@ -182,7 +185,7 @@ def test_parse_dimacs_requires_the_family_encoding(two_cube_unsat_cnf):
 def test_parse_dimacs_refuses_huge_n_by_its_size():
     with pytest.raises(ValueError) as err:
         parse_dimacs("p cnf 9 0\nc hjinterval n=1000000 m=1 sym_break=0\n")
-    assert str(err.value) == "hjinterval header says n=1000000, but the file has 9 variables"
+    assert str(err.value) == "a family of n=1000000 needs 3**1000000 variables, not 9"
 
 
 @pytest.mark.parametrize(

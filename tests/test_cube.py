@@ -15,8 +15,6 @@ from hjinterval.cube import (
     Word,
     all_symmetries,
     apply_symmetry,
-    coloring_from_text,
-    coloring_to_text,
     first_mono_line,
     interval_line,
     interval_line_members,
@@ -427,28 +425,24 @@ def test_symmetry_preserves_mono_lines(gi, mask):
     assert before == after
 
 
-def test_coloring_text_roundtrip():
-    c = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0])
-    text = coloring_to_text(c)
-    assert text == "HJC 3 2\n001010100\n"
-    assert coloring_from_text(text) == c
+def test_coloring_text_roundtrip(tmp_path):
+    c, path = coloring_from_bits(2, [0, 0, 1, 0, 1, 0, 1, 0, 0]), tmp_path / "c.hjc"
+    save_coloring(c, str(path))
+    assert path.read_bytes() == b"HJC 3 2\n001010100\n"
+    assert load_coloring(str(path)) == c
 
 
 def refusal(text: str, path) -> str:
-    """The one message with which both coloring_from_text refuses the text and load_coloring
-    the file at path that holds the text as UTF-8."""
+    """The message with which load_coloring refuses the file at path that holds the text
+    as UTF-8."""
     path.write_bytes(text.encode())
-    messages = []
-    for read in (lambda: coloring_from_text(text), lambda: load_coloring(str(path))):
-        with pytest.raises(ValueError) as err:
-            read()
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    return messages[0]
+    with pytest.raises(ValueError) as err:
+        load_coloring(str(path))
+    return str(err.value)
 
 
 def codec_refusal(byte: int, pos: int) -> str:
-    """The message for a non-ASCII byte at a position of a file or of text, refused first."""
+    """The message for a non-ASCII byte at a position of a file, refused first."""
     return f"'ascii' codec can't decode byte {byte:#x} in position {pos}: ordinal not in range(128)"
 
 
@@ -505,7 +499,7 @@ def test_coloring_file_line_ends(tmp_path):
         assert refusal(text, tmp_path / "c.hjc") == message
     path = tmp_path / "short.hjc"
     path.write_bytes(b"HJC 3 1\n010")
-    assert load_coloring(str(path)) == coloring_from_text("HJC 3 1\n010") == coloring_from_bits(1, [0, 1, 0])
+    assert load_coloring(str(path)) == coloring_from_bits(1, [0, 1, 0])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -542,7 +536,6 @@ def test_built_and_loaded_colorings_are_read_only(tmp_path):
         Coloring.random(3, seed=1),
         Coloring.constant(2, 1),
         load_coloring(str(path)),
-        coloring_from_text("HJC 3 1\n010\n"),
         apply_symmetry(Coloring.random(2, seed=2), Symmetry((2, 1, 3), True, True)),
         pattern_coloring(5, (0, 1, 1, 0, 0)),
         decode_model(model, 2),
