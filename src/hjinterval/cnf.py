@@ -9,14 +9,17 @@ one int32 array: clause k is row k, zero-padded after its last literal
 Instances are written as DIMACS with one header comment naming the encoded
 family (n, m and symmetry breaking): clause pair k is row k of
 :func:`~hjinterval.cube.m_interval_line_members`, so no line is named
-again.  They can be fed to any external solver that takes a file
-path and prints the usual "s SATISFIABLE" / "v ..." lines, and the
-built-in CDCL solver of :mod:`hjinterval.solver`, which logs a DRUP proof
-of every unsat answer, decides the cubes this package cares about when no
-solver is installed.  :func:`check_model` is the one model check: it reads a
-model's literals once, decodes a family's colouring and checks it by a scan
-that shares no table with encode, then checks every clause;
-:func:`decode_model` is that check of a model of ``encode(n, m)``.
+again.  The writer formats from one byte table of literal texts per call,
+one 4096-clause block at a time, so it holds that table, which grows with the
+largest variable like the solver's per-variable lists, and one block.  Files
+can be fed to any external solver that takes a file path and prints the
+usual "s SATISFIABLE" / "v ..." lines, and the built-in CDCL solver of
+:mod:`hjinterval.solver`, which logs a DRUP proof of every unsat answer,
+decides the cubes this package cares about when no solver is installed.
+:func:`check_model` is the one model check: it reads a model's literals once,
+decodes a family's colouring and checks it by a scan that shares no table with
+encode, then checks every clause; :func:`decode_model` is that check of a
+model of ``encode(n, m)``.
 """
 
 from __future__ import annotations
@@ -65,12 +68,12 @@ class CnfInstance:
         if n and (n > self.n_vars.bit_length() or 3**n != self.n_vars):
             raise ValueError(f"a family of n={n} needs 3**{n} variables, not {self.n_vars}")
         # Clause k is well formed when it starts with a literal and no literal follows a 0.
-        # Whole-array tests first: numpy reduces a short row many times slower.
-        live = rows != 0
-        gaps = live[:, 1:] > live[:, :-1]
-        if np.count_nonzero(live[:, :1]) < len(rows) or gaps.any():
-            bad = ~live[:, :1].any(1) | gaps.any(1)
-            raise ValueError(f"clause {bad.argmax()} is empty or has a 0 before its last literal")
+        # One 1-D test per column pair: numpy reduces a short row many times slower.
+        live = [column != 0 for column in rows.T] or [np.zeros(len(rows), dtype=bool)]
+        if not live[0].all() or any((right > left).any() for left, right in zip(live, live[1:])):
+            cells = rows != 0
+            bad = ~cells[:, :1].any(1) | (cells[:, 1:] > cells[:, :-1]).any(1)
+            raise ValueError(f"clause {bad.argmax() + 1} is empty or has a 0 before its last literal")
         if rows.size and (rows.max() > self.n_vars or rows.min() < -self.n_vars):
             beyond = (rows > self.n_vars) | (rows < -self.n_vars)
             # int(): a bool array, checked as it is, would print True for the literal 1.
@@ -115,24 +118,34 @@ def write_dimacs(instance: CnfInstance) -> str:
     the file's one comment; a formula without a family gets none.  So a parsed file
     writes back as it was.
     """
-    return "".join(_dimacs_lines(instance))
+    return b"".join(_dimacs_blocks(instance)).decode("ascii")
 
 
-def _dimacs_lines(instance: CnfInstance) -> Iterator[str]:
+def _dimacs_blocks(instance: CnfInstance) -> Iterator[bytes]:
     rows = instance.clauses
-    yield f"p cnf {instance.n_vars} {len(rows)}\n"
+    yield f"p cnf {instance.n_vars} {len(rows)}\n".encode("ascii")
     if instance.family is not None:
         n, m, sym_break = instance.family
-        yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n"
-    # words[top + v] is literal v's text ("" for the padding 0): like the solver's
-    # per-variable lists, it takes memory in proportion to the largest variable.
-    top = int(np.abs(rows).max(initial=0))
-    words = np.array([f"{v} " if v else "" for v in range(-top, top + 1)], dtype=object)
-    for start in range(0, len(rows), 4096):  # a slice at a time, so no text is ever whole
-        block = rows[start : start + 4096]
-        cells = np.empty((len(block), block.shape[1] + 1), dtype=object)  # row k: clause k
-        cells[:, :-1], cells[:, -1] = words[top + block], "0\n"
-        yield "".join(cells.ravel().tolist())
+        yield f"c {_HEADER_TAG} n={n} m={m} sym_break={int(sym_break)}\n".encode("ascii")
+    # Row top + v of the table is literal v's text and a space, digits right-aligned after a
+    # sign column, NUL-padded (all NUL for the padding 0); row 2*top + 1 is "0\n".
+    top = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    width = len(str(top)) + 2
+    table = np.zeros((2 * top + 2, width), dtype=np.uint8)
+    values = np.arange(1, top + 1, dtype=np.int32)
+    for column in range(1, width - 1):
+        scale = 10 ** (width - 2 - column)
+        table[top + 1 : -1, column] = np.where(values >= scale, values // scale % 10 + ord("0"), 0)
+    table[top + 1 : -1, -1] = ord(" ")
+    table[:top] = table[2 * top : top : -1]
+    table[:top, 0], table[-1, :2] = ord("-"), list(b"0\n")
+    entries = table.view(np.dtype((np.void, width))).ravel()  # entry i: row i's bytes
+    # Row k of a block: clause k's entries, then "0\n"; intp, as 2*top + 1 passes int32.
+    cells = np.full((min(len(rows), 4096), rows.shape[1] + 1), 2 * top + 1, dtype=np.intp)
+    for start in range(0, len(rows), 4096):  # a block at a time, so no text is ever whole
+        block = cells[: len(rows) - start]
+        np.add(rows[start : start + 4096], top, out=block[:, :-1], dtype=np.intp)
+        yield entries.take(block).tobytes().translate(None, b"\0")
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -169,8 +182,13 @@ def parse_dimacs(text: str) -> CnfInstance:
         body.append(row)
     if n_vars is None:
         raise ValueError("missing DIMACS header")
+    clauses = " ".join(body)
+    # int() reads other digits, "_" and "+" too; clause lines hold ASCII digits, "-" and blanks.
+    if not clauses.isascii() or clauses.encode("ascii").translate(None, b"-0123456789 \t"):
+        stray = re.search(r"[^-0-9 \t]", clauses)[0]
+        raise ValueError(f"character {stray!r} in a clause is not an ASCII digit, '-' or blank")
     try:
-        lits = np.array(" ".join(body).split(), dtype=np.int64)
+        lits = np.array(clauses.split(), dtype=np.int64)
     except OverflowError:
         raise ValueError("a literal outside the int64 range") from None
     if lits.size and lits[-1]:
@@ -200,7 +218,7 @@ def parse_dimacs(text: str) -> CnfInstance:
 
 def write_dimacs_file(instance: CnfInstance, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(text.encode("ascii") for text in _dimacs_lines(instance))
+        fh.writelines(_dimacs_blocks(instance))
 
 
 def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> SolveOutcome:
@@ -229,13 +247,12 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
                 status = "unsat"
         elif row.startswith("v "):
             for tok in row[2:].split():
-                try:
-                    lit = int(tok)
-                except ValueError:
+                # ASCII digits only: int() would read "١" as 1.
+                if not (tok.isascii() and tok.removeprefix("-").isdigit()):
                     return SolveOutcome(
                         "unknown", diagnostics=f"bad literal {tok!r} in the solver's v-line"
                     )
-                if lit != 0:
+                if lit := int(tok):
                     model.append(lit)
     if status == "sat":
         if not model:

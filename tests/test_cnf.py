@@ -2,10 +2,11 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hjinterval import cnf
@@ -295,6 +296,65 @@ def test_write_dimacs_file_roundtrip(tmp_path):
     assert np.array_equal(parse_dimacs(path.read_text()).clauses, inst.clauses)
 
 
+def _plain_dimacs(n_vars, rows):
+    """DIMACS text formatted clause by clause from Python ints, with no family comment."""
+    clauses = [[lit for lit in row if lit] for row in rows.tolist()]
+    lines = [f"p cnf {n_vars} {len(clauses)}"] + [" ".join(map(str, (*c, 0))) for c in clauses]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def plain_formulas(draw):
+    """(n_vars, rows): zero-padded clause rows of width 1 to 8 over up to 10**5 variables,
+    some formulas all negative or all positive, some long enough to fill two blocks."""
+    top = draw(st.integers(1, 12) | st.sampled_from([9, 99, 100, 999, 10**5]) | st.integers(1, 10**5))
+    signs = draw(st.sampled_from([(-1, 1), (-1,), (1,)]))
+    magnitude = st.integers(1, top) | st.just(top)
+    literal = st.builds(lambda sign, v: sign * v, st.sampled_from(signs), magnitude)
+    width = draw(st.integers(1, 8))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=width), max_size=12))
+    rows = np.zeros((len(clauses), width), dtype=np.int64)
+    for k, clause in enumerate(clauses):
+        rows[k, : len(clause)] = clause
+    rows = np.tile(rows, (draw(st.sampled_from([1, 1, 700])), 1))  # 700 x 12 rows pass 4096
+    return top + draw(st.sampled_from([0, 0, 1, 10**4])), rows
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(plain_formulas())
+@example((0, np.zeros((0, 1), dtype=np.int64)))
+@example((7, np.zeros((0, 8), dtype=np.int64)))
+def test_write_dimacs_matches_a_per_clause_formatter(tmp_path, case):
+    n_vars, rows = case
+    instance, path = CnfInstance(n_vars, rows), tmp_path / "plain.cnf"
+    text = write_dimacs(instance)
+    assert text == _plain_dimacs(n_vars, rows)
+    write_dimacs_file(instance, str(path))
+    assert path.read_bytes() == text.encode("ascii")
+
+
+def test_write_dimacs_file_never_holds_the_whole_text(tmp_path):
+    # one byte table and one block of 4096 clauses at a time, far below the file's size
+    instance, path = encode(10, 1), tmp_path / "n10.cnf"
+    tracemalloc.start()
+    try:
+        write_dimacs_file(instance, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
+def test_parse_dimacs_reads_only_ascii_digits():
+    # int() reads the Arabic-Indic one as 1, "1_0" as 10 and "+1" as 1
+    strays = (("\u0661 2 0", "\u0661"), ("1_0 2 0", "_"), ("+1 2 0", "+"), ("1\u2003 2 0", "\u2003"))
+    for clause, char in strays:
+        message = f"character {char!r} in a clause is not an ASCII digit, '-' or blank"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_dimacs(f"p cnf 3 1\n{clause}\n")
+    assert parse_dimacs("p cnf 3 1\n1\t-2  3 0\n").clause_tuples() == [(1, -2, 3)]
+
+
 def test_mixed_width_dimacs_roundtrip():
     inst = parse_dimacs(MIXED_WIDTH_DIMACS)
     assert inst.clauses.shape == (11, 8)
@@ -416,14 +476,14 @@ def test_solve_builtin_is_deterministic():
 def test_instance_rejects_empty_clause():
     with pytest.raises(ValueError):
         CnfInstance(n_vars=2, clauses=((),))
-    with pytest.raises(ValueError, match="clause 1 is empty or has a 0 before its last literal"):
+    with pytest.raises(ValueError, match="clause 2 is empty or has a 0 before its last literal"):
         CnfInstance(n_vars=2, clauses=((1, 2), (0, 0)))
 
 
 @pytest.mark.parametrize(
     "rows, message",
     [
-        (((1, 2, 0), (1, 0, 2)), "clause 1 is empty or has a 0 before its last literal"),
+        (((1, 0, 2), (1, 2, 0)), "clause 1 is empty or has a 0 before its last literal"),
         (((1, 2), (-3, 0)), "literal -3 outside +-1..2"),
         (((3, 1),), "literal 3 outside +-1..2"),
         ((1, 2), "need a 2-D clause array and 0..2**31-1 variables, not 2"),
@@ -455,8 +515,8 @@ def test_instance_refuses_literals_past_int64(rows):
 def _clause_check_reference(n_vars, rows):
     """The message CnfInstance gives for a list of zero-padded clause rows, None for
     rows it accepts: first a row that is empty or has a 0 before a literal, then the
-    first literal, in row order, outside +-n_vars."""
-    for k, row in enumerate(rows):
+    first literal, in row order, outside +-n_vars.  Clauses are numbered from 1."""
+    for k, row in enumerate(rows, 1):
         width = len(row)
         while width and not row[width - 1]:
             width -= 1
@@ -685,3 +745,13 @@ def test_run_solver_multiline_v_section(tmp_path, solver_factory):
     out = run_solver(str(path), cmd)
     assert out.status == "sat"
     assert out.model == (1, -2, 3)
+
+
+def test_run_solver_reads_only_ascii_digits(tmp_path, solver_factory):
+    path = tmp_path / "n1.cnf"
+    write_dimacs_file(encode(1), str(path))
+    for tok in ("\u0661", "1_0", "+1"):
+        output = f"s SATISFIABLE\nv {tok} -2 3 0\n".encode("utf-8")
+        out = run_solver(str(path), solver_factory(f"sys.stdout.buffer.write({output!r})"))
+        assert (out.status, out.model) == ("unknown", None)
+        assert out.diagnostics == f"bad literal {tok!r} in the solver's v-line"
