@@ -104,8 +104,7 @@ def cmd_verify_gadgets(args: argparse.Namespace) -> int:
         checked += len(lines)
         if len(quads) == 1:
             for idx, line in enumerate(lines, start=1):
-                members = ",".join(str(w) for w in line.points())
-                print(f"line {idx} active={line.lo}..{line.hi} members={members}")
+                print(f"line {idx} active={line.lo}..{line.hi} members={line}")
     print(f"n={n}")
     print(f"quadruples-checked={len(quads)}")
     print(f"lines-validated={checked}")

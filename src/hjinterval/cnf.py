@@ -4,8 +4,9 @@ Variable i+1 is the colour of the word of rank i.  Every line (active
 set a union of at most m intervals) contributes two clauses: not all
 three members colour 0, not all three colour 1, so models are exactly
 the colourings with no monochromatic line of that family.  Clauses are
-one int32 array: clause k is row k, zero-padded after its last literal
-(width 3 for every encoded family; the sym-break unit is -1 0 0).
+one int32 array, copied from a bool or integer one: clause k is row k,
+zero-padded after its last literal (width 3 for every encoded family; the
+sym-break unit is -1 0 0).
 Instances are written as DIMACS with one header comment naming the encoded
 family (n, m and symmetry breaking): clause pair k is row k of
 :func:`~hjinterval.cube.m_interval_line_members`, so no line is named
@@ -16,10 +17,12 @@ can be fed to any external solver that takes a file path and prints the
 usual "s SATISFIABLE" / "v ..." lines, and the built-in CDCL solver of
 :mod:`hjinterval.solver`, which logs a DRUP proof of every unsat answer,
 decides the cubes this package cares about when no solver is installed.
+One rule, :func:`clause_tokens`, reads the literals of DIMACS clause lines, of
+a solver's v-lines and of DRUP proofs: ASCII digits, "-" and blanks only.
 :func:`check_model` is the one model check: it reads a model's literals once,
 decodes a family's colouring and checks it by a scan that shares no table with
-encode, then checks every clause; :func:`decode_model` is that check of a
-model of ``encode(n, m)``.
+encode, naming a monochromatic line by its member words, then checks every
+clause; :func:`decode_model` is that check of a model of ``encode(n, m)``.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ import re
 import shlex
 import subprocess
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .cube import Coloring, first_mono_line, is_count, line_name, m_interval_line_members
+from .cube import Coloring, first_mono_line, is_count, m_interval_line_members
 from .solver import SolveOutcome, solve_builtin  # noqa: F401  (re-exported: callers import both from here)
 
 # First word of the DIMACS comment that names an encoded instance's family.
@@ -43,8 +45,8 @@ _HEADER_PATTERN = rf"c {_HEADER_TAG} n=([1-9][0-9]{{0,17}}) m=([1-9][0-9]{{0,17}
 
 @dataclass(frozen=True)
 class CnfInstance:
-    """A CNF formula: ``clauses`` is a 2-D integer array, one clause a row, zeros after
-    its last literal, kept as a read-only int32 copy.  ``family`` is (n, m, sym_break)
+    """A CNF formula: ``clauses`` is a 2-D bool or integer array, one clause a row, zeros
+    after its last literal, kept as a read-only int32 copy.  ``family`` is (n, m, sym_break)
     for an instance made by :func:`encode` (and read back from DIMACS), None for any other."""
 
     n_vars: int
@@ -53,13 +55,8 @@ class CnfInstance:
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.clauses)
-        if not np.can_cast(rows.dtype, np.int64):  # floats, uint64, objects: check, then narrow
-            literals = rows.ravel().tolist()  # NaN and infinities leave a remainder too
-            bad = [v for v in literals if not isinstance(v, Real) or v % 1 or not -(2**63) <= v < 2**63]
-            if bad:
-                raise ValueError(f"literal {bad[0]!r} is not an integer in the int64 range")
-        if not np.can_cast(rows.dtype, np.int32):  # uint32, int64, floats, objects: checked wide
-            rows = rows.astype(np.int64, copy=False)
+        if rows.size and rows.dtype.kind not in "biu":  # checked as it is, then copied to int32
+            raise ValueError(f"clause literals must be integers, not {rows.dtype}")
         if rows.ndim != 2 or not 0 <= self.n_vars < 2**31:
             raise ValueError(f"need a 2-D clause array and 0..2**31-1 variables, not {self.n_vars}")
         # check_model decodes a family's 3**n variables; 3**n > 2**n, so an n past the
@@ -148,6 +145,16 @@ def _dimacs_blocks(instance: CnfInstance) -> Iterator[bytes]:
         yield entries.take(block).tobytes().translate(None, b"\0")
 
 
+def clause_tokens(text: str) -> list[str]:
+    """The blank-separated literals of clause text, the one rule for DIMACS clause lines, a
+    solver's v-lines and DRUP lines: ASCII digits, "-", spaces and tabs, nothing else, as
+    int() would read other scripts' digits, "_" and "+" too.  Raises ValueError otherwise."""
+    if not text.isascii() or text.encode("ascii").translate(None, b"-0123456789 \t"):
+        stray = re.search(r"[^-0-9 \t]", text)[0]
+        raise ValueError(f"character {stray!r} in a clause is not an ASCII digit, '-' or blank")
+    return text.split()
+
+
 def parse_dimacs(text: str) -> CnfInstance:
     """Read DIMACS back; counts are enforced, and comments are dropped
     except the family header that :func:`write_dimacs` puts after "p cnf".
@@ -182,13 +189,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         body.append(row)
     if n_vars is None:
         raise ValueError("missing DIMACS header")
-    clauses = " ".join(body)
-    # int() reads other digits, "_" and "+" too; clause lines hold ASCII digits, "-" and blanks.
-    if not clauses.isascii() or clauses.encode("ascii").translate(None, b"-0123456789 \t"):
-        stray = re.search(r"[^-0-9 \t]", clauses)[0]
-        raise ValueError(f"character {stray!r} in a clause is not an ASCII digit, '-' or blank")
     try:
-        lits = np.array(clauses.split(), dtype=np.int64)
+        lits = np.array(clause_tokens(" ".join(body)), dtype=np.int64)
     except OverflowError:
         raise ValueError("a literal outside the int64 range") from None
     if lits.size and lits[-1]:
@@ -246,14 +248,10 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
             elif verdict == "UNSATISFIABLE":
                 status = "unsat"
         elif row.startswith("v "):
-            for tok in row[2:].split():
-                # ASCII digits only: int() would read "١" as 1.
-                if not (tok.isascii() and tok.removeprefix("-").isdigit()):
-                    return SolveOutcome(
-                        "unknown", diagnostics=f"bad literal {tok!r} in the solver's v-line"
-                    )
-                if lit := int(tok):
-                    model.append(lit)
+            try:
+                model += filter(None, map(int, clause_tokens(row[2:])))
+            except ValueError as exc:
+                return SolveOutcome("unknown", diagnostics=f"bad v-line from the solver: {exc}")
     if status == "sat":
         if not model:
             return SolveOutcome("unknown", diagnostics="solver said sat but printed no model")
@@ -307,7 +305,7 @@ def check_model(instance: CnfInstance, model: Iterable[int]) -> Coloring | None:
         coloring = Coloring._adopt(n, bits.astype(np.uint8))
         line = first_mono_line(coloring.bits, n, m)
         if line is not None:
-            raise EncoderBugError(f"decoded model leaves {line_name(line)} monochromatic")
+            raise EncoderBugError(f"decoded model leaves line {line} monochromatic")
     satisfied = value[instance.clauses].any(axis=1)  # padding reads value[0], never set
     if not satisfied.all():
         k = satisfied.argmin()

@@ -5,13 +5,14 @@ line is the three-point set obtained by fixing the letters outside an
 "active" coordinate set and letting every active coordinate carry the
 same moving letter 1, 2, 3.  The interesting lines here are the ones
 whose active set is a single contiguous interval (or a union of at most
-m intervals); this module provides the bookkeeping everything else
-builds on: ranking, the line table, one scan of the cube that yields the
-monochromatic lines block by block (for the first hit or the count),
-colouring storage, the symmetry group that respects interval lines, and
-the file format, the one way colourings are written and read.  The
-table's rows and the scan's masks are the cells of the same views of the
-cube, so they come in one order.
+m intervals); a line is named by its member words, ``str(line)``.  This
+module provides the bookkeeping everything else builds on: ranking, the
+line table, one scan of the cube that yields the monochromatic lines
+block by block (for the first hit or the count), colouring storage, the
+symmetry group that respects interval lines, and the file format, the
+one way colourings are written and read.  The table's rows and the
+scan's masks are the cells of the same views of the cube, so they come
+in one order.
 """
 
 from __future__ import annotations
@@ -123,6 +124,10 @@ class Line:
     def points(self) -> tuple[Word, Word, Word]:
         return (self.word_at(1), self.word_at(2), self.word_at(3))
 
+    def __str__(self) -> str:
+        """The line's name: its member words, comma-separated, as "111,212,313"."""
+        return ",".join(map(str, self.points()))
+
     @property
     def lo(self) -> int:
         """First active coordinate; lo..hi is the span of the active set."""
@@ -131,26 +136,6 @@ class Line:
     @property
     def hi(self) -> int:
         return self.active[-1]
-
-
-def runs_of(coords: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Maximal runs of a nonempty increasing coordinate tuple, as (lo, hi) pairs."""
-    runs = []
-    lo = prev = coords[0]
-    for i in coords[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        runs.append((lo, prev))
-        lo = prev = i
-    runs.append((lo, prev))
-    return tuple(runs)
-
-
-def line_name(line: Line) -> str:
-    """The name "line 1..2+4..4 fixed=3:1,5:2" of a line, "fixed=-" when nothing is pinned."""
-    runs = "+".join(f"{lo}..{hi}" for lo, hi in runs_of(line.active))
-    return f"line {runs} fixed=" + (",".join(f"{p}:{v}" for p, v in line.fixed) or "-")
 
 
 def interval_line(n: int, lo: int, hi: int, fixed: dict[int, int] | None = None) -> Line:

@@ -5,13 +5,17 @@ the reverse-unit-propagation (RUP) test against the formula plus the
 lemmas before it: with every literal of the lemma assumed false, unit
 propagation reaches a conflict.  This is the check DRAT-trim makes
 (Wetzler, Heule & Hunt, SAT 2014), run forwards and without its RAT
-case.  A refutation must end with the empty clause.
+case.  A refutation must end with the empty clause.  The formula's clauses
+size the tables, so lemmas may name only variables up to its largest.  Proof
+lines follow the DIMACS literal rule, :func:`~hjinterval.cnf.clause_tokens`.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Iterable, Sequence
+
+from .cnf import clause_tokens
 
 
 def check_proof(
@@ -20,7 +24,7 @@ def check_proof(
     """None when the lemmas refute the formula, else the reason they do not; TimeoutError
     once past ``deadline``, a :func:`time.monotonic` value read once per lemma."""
     formula = list(formula)
-    n_vars = max((abs(lit) for c in formula + list(lemmas) for lit in c), default=0)
+    n_vars = max((abs(lit) for c in formula for lit in c), default=0)
     # Indexed by literal: a negative literal wraps round to the back half.
     value: list[bool | None] = [None] * (2 * n_vars + 1)
     watches: list[list[list[int]]] = [[] for _ in range(2 * n_vars + 1)]
@@ -85,29 +89,38 @@ def check_proof(
     for k, lemma in enumerate(lemmas, 1):
         if deadline is not None and time.monotonic() >= deadline:
             raise TimeoutError(f"the time limit passed with {k - 1} of {len(lemmas)} lemmas checked")
+        if any(not 0 < abs(lit) <= n_vars for lit in lemma):  # before any table reads it
+            return f"lemma {k} ({_text(lemma)}) names a variable outside the formula's 1..{n_vars}"
         if not (refuted or rup(lemma)):
-            return f"lemma {k} ({' '.join(map(str, (*lemma, 0)))}) does not follow by unit propagation"
+            return f"lemma {k} ({_text(lemma)}) does not follow by unit propagation"
         refuted = refuted or add(lemma)
     if not lemmas or lemmas[-1]:
         return "the proof does not end with the empty clause"
     return None
 
 
+def _text(lemma: Sequence[int]) -> str:
+    return " ".join(map(str, (*lemma, 0)))
+
+
 def parse_proof(text: str) -> list[tuple[int, ...]]:
-    """Read DRUP text: one "l1 l2 ... 0" lemma a line.  Comment lines ("c")
-    and deletion lines ("d ...") are skipped: keeping a deleted clause
-    only gives the check more to propagate with, and every clause kept is
-    implied by the formula, so skipping them never accepts a bad proof."""
+    """Read DRUP text: one "l1 l2 ... 0" lemma a line, by the DIMACS literal rule.
+    Lines starting "c" are comments.  Deletion lines ("d l1 l2 ... 0") are read
+    by the same rule and dropped: keeping a deleted clause only gives the check
+    more to propagate with, and every clause kept is implied by the formula, so
+    dropping them never accepts a bad proof."""
     lemmas = []
     for number, row in enumerate(text.splitlines(), 1):
-        tokens = row.split()
-        if not tokens or tokens[0] in ("c", "d"):
+        row = row.strip()
+        if not row or row[0] == "c":
             continue
+        deletion = row[0] == "d"
         try:
-            lits = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ValueError(f"proof line {number}: not a clause: {row!r}") from None
-        if lits[-1] != 0 or 0 in lits[:-1]:
+            lits = [int(tok) for tok in clause_tokens(row[1:] if deletion else row)]
+        except ValueError as exc:
+            raise ValueError(f"proof line {number}: {exc}") from None
+        if not lits or lits[-1] != 0 or 0 in lits[:-1]:
             raise ValueError(f"proof line {number}: a lemma is literals ending in one 0: {row!r}")
-        lemmas.append(tuple(lits[:-1]))
+        if not deletion:
+            lemmas.append(tuple(lits[:-1]))
     return lemmas

@@ -13,7 +13,6 @@ from hjinterval.cube import (
     Word,
     interval_line,
     is_monochromatic,
-    runs_of,
 )
 from hjinterval.gadgets import SEED_PATTERNS, LineCertificate
 from hjinterval.patterns import Pattern, realize
@@ -37,7 +36,7 @@ def enumerate_m_interval_lines(n, m=1):
     coords = range(1, n + 1)
     subsets = itertools.chain.from_iterable(itertools.combinations(coords, k) for k in coords)
     for active in sorted(subsets):
-        if len(runs_of(active)) > m:
+        if 1 + sum(b > a + 1 for a, b in zip(active, active[1:])) > m:  # maximal runs
             continue
         rest = tuple(i for i in coords if i not in active)
         for letters in itertools.product(ALPHABET, repeat=len(rest)):

@@ -405,7 +405,7 @@ def test_solve_verifies_against_the_encoded_family(
     assert code == 1
     assert "verified=yes" not in out and "coloring=" not in out
     assert "verified=no" in out
-    assert "line 1..1+3..3 fixed=2:1 monochromatic" in out
+    assert "line 111,212,313 monochromatic" in out
     # The encoding is sound here; the fault is the solver's, and is named so.
     diagnostics = next(row for row in out.splitlines() if row.startswith("diagnostics="))
     assert "external solver's model is wrong" in diagnostics
@@ -457,6 +457,19 @@ def test_check_proof_verb(tmp_path, capsys):
     assert code == 1
     assert "proof=rejected" in out
     assert "diagnostics=the proof does not end with the empty clause" in out
+
+
+def test_check_proof_refuses_a_variable_past_the_formula(tmp_path, capsys):
+    # Tables sized by the proof's literal would take 182 MB for "1000000 0", or overflow here.
+    cnf_path, proof_path = tmp_path / "u.cnf", tmp_path / "m.drup"
+    cnf_path.write_text("p cnf 1 2\n1 0\n-1 0\n")
+    proof_path.write_text("99999999999999999999 0\n0\n")
+    code, out, err = run_cli(capsys, "check-proof", "--cnf", str(cnf_path), "--proof", str(proof_path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "proof=rejected\n"
+        "diagnostics=lemma 1 (99999999999999999999 0) names a variable outside the formula's 1..1\n"
+    )
 
 
 def test_solve_without_family_header_prints_raw_model(tmp_path, capsys):
@@ -585,7 +598,7 @@ def test_solve_unknown_is_inconclusive(tmp_path, capsys, solver_factory):
         assert err == ""
         assert "status=unknown" in out
         assert "diagnostics=" in out
-    assert "diagnostics=bad literal 'x' in the solver's v-line" in out
+    assert "diagnostics=bad v-line from the solver: character 'x' in a clause is not an ASCII digit" in out
 
 
 def test_family_header_over_foreign_clauses_is_refused(tmp_path, capsys, two_cube_unsat_cnf):

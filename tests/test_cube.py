@@ -136,6 +136,10 @@ def test_line_points_of_a_direct_line():
     assert tuple(map(str, line.points())) == ("211", "221", "231")
 
 
+def test_a_line_is_named_by_its_member_words():
+    assert str(Line(3, (1, 3), ((2, 1),))) == "111,212,313"
+
+
 @pytest.mark.parametrize(
     "n, active, fixed",
     [

@@ -9,13 +9,21 @@ from hjinterval.drup import check_proof, parse_proof
 XOR_SQUARE = ((1, 2), (1, -2), (-1, 2), (-1, -2))
 
 
+@pytest.mark.parametrize("lit", [1000000, -(10**20), 0])
+def test_rejects_a_lemma_outside_the_formulas_variables(lit):
+    # The formula's clauses size the tables, so a lemma naming any other variable is
+    # refused before it is read, even once unit propagation alone has refuted the formula.
+    reason = check_proof([(1,), (-1,)], [(lit,), ()])
+    assert reason == f"lemma 1 ({lit} 0) names a variable outside the formula's 1..1"
+
+
 def test_accepts_a_hand_made_refutation():
     assert check_proof(XOR_SQUARE, [(1,), ()]) is None
 
 
 def test_accepts_a_lemma_already_true_at_the_top_level():
-    # Unit 3 makes the lemma "3 4" hold before any assumption.
-    assert check_proof(XOR_SQUARE + ((3,),), [(3, 4), (1,), ()]) is None
+    # Unit 3 makes the lemma "3 4" hold before any assumption; "3 -4" names variable 4.
+    assert check_proof(XOR_SQUARE + ((3,), (3, -4)), [(3, 4), (1,), ()]) is None
 
 
 def test_accepts_a_formula_refuted_by_unit_propagation_alone():
@@ -62,7 +70,7 @@ def test_parse_proof_reads_lemmas_and_skips_comments_and_deletions():
     assert parse_proof(text) == [(1, -2), (3,), ()]
 
 
-@pytest.mark.parametrize("text", ["1 2\n", "1 0 2 0\n", "x 0\n"])
+@pytest.mark.parametrize("text", ["1 2\n", "1 0 2 0\n", "x 0\n", "1-2 0\n", "d x y\n", "d 1 2\n", "d\n"])
 def test_parse_proof_rejects_malformed_lines(text):
     with pytest.raises(ValueError):
         parse_proof(text)
