@@ -49,9 +49,6 @@ class BoundExpr:
     def render(self) -> str:
         return self.formula if self.formula is not None else _int_text(self.value)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def _int_text(v: int) -> str:
     """str(v), lifting the interpreter's int-to-str digit limit only if it bites."""

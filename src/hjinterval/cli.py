@@ -314,7 +314,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,7 +18,8 @@ usual "s SATISFIABLE" / "v ..." lines, and the built-in CDCL solver of
 :mod:`hjinterval.solver`, which logs a DRUP proof of every unsat answer,
 decides the cubes this package cares about when no solver is installed.
 One rule, :func:`clause_tokens`, reads the literals of DIMACS clause lines, of
-a solver's v-lines and of DRUP proofs: ASCII digits, "-" and blanks only.
+a solver's v-lines and of DRUP proofs: ASCII digits, "-" and blanks only; and
+one, :func:`text_lines`, cuts all three into lines at newlines alone.
 :func:`check_model` is the one model check: it reads a model's literals once,
 decodes a family's colouring and checks it by a scan that shares no table with
 encode, naming a monochromatic line by its member words, then checks every
@@ -155,6 +156,12 @@ def clause_tokens(text: str) -> list[str]:
     return text.split()
 
 
+def text_lines(text: str) -> list[str]:
+    """The lines of clause text: each ends at a newline alone (str.splitlines also breaks at
+    U+2028 and more) and loses the spaces, tabs and carriage returns at its ends, nothing else."""
+    return [row.strip(" \t\r") for row in text.split("\n")]
+
+
 def parse_dimacs(text: str) -> CnfInstance:
     """Read DIMACS back; counts are enforced, and comments are dropped
     except the family header that :func:`write_dimacs` puts after "p cnf".
@@ -162,8 +169,7 @@ def parse_dimacs(text: str) -> CnfInstance:
     A file with that header must hold exactly the family's encoding, in order."""
     n_vars = expected = family = None
     body: list[str] = []  # the clause lines
-    for row in text.splitlines():
-        row = row.strip()
+    for row in text_lines(text):
         if not row:
             continue
         if row[0] == "c":
@@ -226,9 +232,9 @@ def write_dimacs_file(instance: CnfInstance, path: str) -> None:
 def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> SolveOutcome:
     """Invoke an external solver as ``<command> <cnf_path>`` and parse s/v lines.
 
-    Crashes, timeouts, missing binaries and unparseable output all come
-    back as status "unknown" with diagnostics, never as exceptions: a
-    flaky solver must not be mistaken for a refutation.
+    Crashes, timeouts, missing binaries, unparseable output and other s-lines
+    (quoted) all come back as status "unknown" with diagnostics, never as
+    exceptions: a flaky solver must not be mistaken for a refutation.
     """
     argv = shlex.split(command) + [cnf_path]
     try:
@@ -238,15 +244,12 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
         return SolveOutcome("unknown", diagnostics=f"solver timed out after {timeout}s")
     except OSError as exc:
         return SolveOutcome("unknown", diagnostics=f"solver failed to start: {exc}")
-    status = None
+    status = s_line = None
     model: list[int] = []
-    for row in proc.stdout.splitlines():
+    for row in text_lines(proc.stdout):
         if row.startswith("s "):
-            verdict = row[2:].strip()
-            if verdict == "SATISFIABLE":
-                status = "sat"
-            elif verdict == "UNSATISFIABLE":
-                status = "unsat"
+            s_line = row
+            status = {"SATISFIABLE": "sat", "UNSATISFIABLE": "unsat"}.get(row[2:].lstrip(" \t"), status)
         elif row.startswith("v "):
             try:
                 model += filter(None, map(int, clause_tokens(row[2:])))
@@ -258,6 +261,8 @@ def run_solver(cnf_path: str, command: str, timeout: float | None = None) -> Sol
         return SolveOutcome("sat", tuple(model))
     if status == "unsat":
         return SolveOutcome("unsat")
+    if s_line is not None:
+        return SolveOutcome("unknown", diagnostics=f"solver answered {s_line!r} (exit {proc.returncode})")
     head = (proc.stdout + proc.stderr)[:500]
     return SolveOutcome(
         "unknown", diagnostics=f"no s-line in solver output (exit {proc.returncode}): {head!r}"

@@ -7,7 +7,7 @@ propagation reaches a conflict.  This is the check DRAT-trim makes
 (Wetzler, Heule & Hunt, SAT 2014), run forwards and without its RAT
 case.  A refutation must end with the empty clause.  The formula's clauses
 size the tables, so lemmas may name only variables up to its largest.  Proof
-lines follow the DIMACS literal rule, :func:`~hjinterval.cnf.clause_tokens`.
+lines follow the DIMACS line and literal rules of :mod:`~hjinterval.cnf`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Sequence
 
-from .cnf import clause_tokens
+from .cnf import clause_tokens, text_lines
 
 
 def check_proof(
@@ -104,14 +104,13 @@ def _text(lemma: Sequence[int]) -> str:
 
 
 def parse_proof(text: str) -> list[tuple[int, ...]]:
-    """Read DRUP text: one "l1 l2 ... 0" lemma a line, by the DIMACS literal rule.
+    """Read DRUP text: one "l1 l2 ... 0" lemma a line, by the DIMACS line and literal rules.
     Lines starting "c" are comments.  Deletion lines ("d l1 l2 ... 0") are read
     by the same rule and dropped: keeping a deleted clause only gives the check
     more to propagate with, and every clause kept is implied by the formula, so
     dropping them never accepts a bad proof."""
     lemmas = []
-    for number, row in enumerate(text.splitlines(), 1):
-        row = row.strip()
+    for number, row in enumerate(text_lines(text), 1):
         if not row or row[0] == "c":
             continue
         deletion = row[0] == "d"

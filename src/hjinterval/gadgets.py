@@ -308,6 +308,7 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     """Colour each word by its seed pattern: d[p] when the contraction is
     seed pattern p, and d[0] for every other word."""
     d = _check_color_vector(d)
+    cube = np.empty(3**n, dtype=np.uint8)  # first, so a cube too large is refused at once
     longest = max(SEED_LENGTHS)
     # An automaton reads a word's letters.  Its states are the contractions of at most
     # `longest` letters, then None for all longer ones, numbered as they are reached, and
@@ -332,4 +333,5 @@ def pattern_coloring(n: int, d: Sequence[int]) -> Coloring:
     table, cells = np.array(step, dtype=np.uint8), np.zeros(1, dtype=np.uint8)
     for _ in range(n - 1):
         cells = table[cells].ravel()
-    return Coloring._adopt(n, colour[cells].ravel())
+    np.take(colour, cells, axis=0, out=cube.reshape(-1, 3))
+    return Coloring._adopt(n, cube)

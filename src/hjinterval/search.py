@@ -11,10 +11,12 @@ scores of its cell's neighbours (the other members of the lines through
 it), each by +1 or -1 as that neighbour does or does not share the
 flipped cell's old colour.  Only the cells whose flip adds no violation
 are filed, in one ascending list per score, so the best flip needs no
-scan and a sideways pick needs no sort.  Restarts run in one loop, in
-this process and in the workers it forks (none for one job), and are read
-in seed order, so the report does not depend on the worker count.  The
-encoding and the descent read the member table; a reported colouring is
+scan and a sideways pick needs no sort.  A search builds the member table
+and the neighbour lists once and hands them to every restart; restarts
+run in one loop, in this process and in the workers it forks (none for
+one job), which inherit the tables, and are read in seed order, so the
+report does not depend on the worker count.  The encoding and the
+descent read the member table; a reported colouring is
 checked by the cube scan of :func:`~hjinterval.cube.mono_masks`, which
 does not: each SAT model is decoded, scanned and checked against every
 clause it was solved under, unit clauses included, by
@@ -32,7 +34,6 @@ import time
 import warnings
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
@@ -138,23 +139,22 @@ def exhaustive_search(n: int, use_symmetry: bool = True) -> SearchReport:
 # --- local search ------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _neighbours(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per cell, the other two members of each row of :func:`interval_line_members`
-    through it, rows ascending.  Two cells share at most one line (they differ
-    exactly on its active set and agree on its pinned letters), so no cell is
-    listed twice."""
+def _line_tables(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The tables a restart reads: the rows of :func:`interval_line_members`, and per
+    cell the other two members of each row through it, rows ascending.  Two cells
+    share at most one line (they differ exactly on its active set and agree on its
+    pinned letters), so no cell is listed twice."""
     members = interval_line_members(n)
     flat = members.ravel()
     # Member j of row r sits at 3r + j of flat, and its other two at 3r + j of others.
     others = members[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2)
     pairs = others[np.argsort(flat, kind="stable")].ravel().tolist()
     ends = (2 * np.cumsum(np.bincount(flat, minlength=3**n))).tolist()
-    return tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
+    return members, tuple(tuple(pairs[a:b]) for a, b in zip([0, *ends], ends))
 
 
-def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
-    """Steepest descent from one random colouring.
+def _one_restart(tables: tuple, restart_seed: int, max_flips: int) -> tuple[int, np.ndarray, int]:
+    """Steepest descent from one random colouring, on the tables of :func:`_line_tables`.
 
     Returns (best violation count, best bits, flips used).  Sideways moves
     are taken when no flip improves; a long sideways drift or a strict local
@@ -174,9 +174,8 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
     cell at a random index of bucket 0, which keeps its score 0 and so stays
     filed; with no bucket left, the restart is at a strict local minimum.
     """
-    size = 3**n
-    members = interval_line_members(n)
-    neighbours = _neighbours(n)
+    members, neighbours = tables
+    size = len(neighbours)
     rng = random.Random(restart_seed)
     getrandbits = rng.getrandbits
     bits = [getrandbits(1) for _ in range(size)]
@@ -243,12 +242,12 @@ def _one_restart(n: int, restart_seed: int, max_flips: int) -> tuple[int, np.nda
 
 
 def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: int) -> Iterator:
-    """Each restart's result, in seed order.  Workers - 1 children, none for one worker,
-    are forked after the line tables are built and inherit them; worker w (0 is this
-    process) runs restarts k = w mod workers from its own copy of the seeds, and a child
-    pickles each result down its pipe, or the type and message of the exception that
-    stopped it and exits 1.  Closing kills and reaps the children."""
-    _neighbours(n)
+    """Each restart's result, in seed order, all read off one build of the line tables.
+    Workers - 1 children, none for one worker, are forked after that build and inherit it;
+    worker w (0 is this process) runs restarts k = w mod workers from its own copy of the
+    seeds, and a child pickles each result down its pipe, or the type and message of the
+    exception that stopped it and exits 1.  Closing kills and reaps the children."""
+    tables = _line_tables(n)
     children = []  # (pid, read end) of workers 1..workers-1
     try:
         for w in range(1, workers):
@@ -265,7 +264,7 @@ def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: in
                     with os.fdopen(write_fd, "wb") as out:
                         try:
                             for s in islice(seeds, w, None, workers):
-                                pickle.dump(_one_restart(n, s, per_restart), out)
+                                pickle.dump(_one_restart(tables, s, per_restart), out)
                                 out.flush()
                             status = 0
                         except Exception as exc:  # its cause goes to the parent, as text
@@ -275,7 +274,7 @@ def _restart_results(n: int, per_restart: int, seeds: Iterator[int], workers: in
             children.append((pid, os.fdopen(read_fd, "rb")))
             os.close(write_fd)
         for s in islice(seeds, 0, None, workers):
-            yield _one_restart(n, s, per_restart)
+            yield _one_restart(tables, s, per_restart)
             for w, (pid, pipe) in enumerate(children, 1):
                 try:
                     result = pickle.load(pipe)
@@ -317,7 +316,7 @@ def local_search(n: int, seed: int, budget: int, jobs: int = 1) -> SearchReport:
         raise ValueError("jobs must be >= 1")
     t0 = time.perf_counter()
     per_restart = min(budget, max(30 * 3**n, 300))
-    restarts = max(1, -(-budget // per_restart))
+    restarts = -(-budget // per_restart)
     # Mixed so that nearby (seed, k) pairs do not share low bits.
     seeds = (
         (seed * 0x9E3779B97F4A7C15 + k * 0xBF58476D1CE4E5B9 + 1) % 2**63 for k in range(restarts)

@@ -599,6 +599,12 @@ def test_solve_unknown_is_inconclusive(tmp_path, capsys, solver_factory):
         assert "status=unknown" in out
         assert "diagnostics=" in out
     assert "diagnostics=bad v-line from the solver: character 'x' in a clause is not an ASCII digit" in out
+    # a solver that gives up is quoted, not said to have printed no s-line
+    undecided = solver_factory('print("c gave up")\nprint("s UNKNOWN")\n')
+    code, out, _ = run_cli(capsys, "solve", "--cnf", str(cnf_path), "--solver", undecided)
+    assert code == 1
+    assert "status=unknown\n" in out
+    assert "diagnostics=solver answered 's UNKNOWN' (exit 0)\n" in out
 
 
 def test_family_header_over_foreign_clauses_is_refused(tmp_path, capsys, two_cube_unsat_cnf):

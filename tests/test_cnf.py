@@ -373,6 +373,26 @@ def test_every_clause_reader_refuses_a_stray_literal(stray, tmp_path, solver_fac
     assert out.diagnostics == f"bad v-line from the solver: {message}"
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u0085", "\u001c", "\u2003"])
+def test_every_clause_reader_ends_lines_at_newline_only(char, tmp_path, solver_factory):
+    # str.splitlines breaks at the first three and str.strip drops the last, so each passed
+    # unseen at a line's end; a line ends at "\n" only and loses only " \t\r" at its ends
+    message = f"character {char!r} in a clause is not an ASCII digit, '-' or blank"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_dimacs(f"p cnf 2 1\n1 -2 0{char}\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_proof(f"1 0{char}\n0\n")
+    path = tmp_path / "n1.cnf"
+    write_dimacs_file(encode(1), str(path))
+    for ending, status in ((f"{char}\n", "unknown"), ("\r\n", "sat")):
+        output = f"s SATISFIABLE\r\nv 1 -2 3 0{ending}".encode("utf-8")
+        out = run_solver(str(path), solver_factory(f"sys.stdout.buffer.write({output!r})"))
+        assert out.status == status
+    assert out.model == (1, -2, 3)
+    assert parse_dimacs("p cnf 2 1 \r\n\t1 -2 0\r\n").clause_tuples() == [(1, -2)]
+    assert parse_proof("1 0\r\n0 \t\r\n") == [(1,), ()]
+
+
 def test_mixed_width_dimacs_roundtrip():
     inst = parse_dimacs(MIXED_WIDTH_DIMACS)
     assert inst.clauses.shape == (11, 8)
